@@ -12,6 +12,7 @@ from __future__ import annotations
 import argparse
 import csv
 import io
+import math
 import sys
 
 import numpy as np
@@ -58,15 +59,35 @@ def _parse_cell(rows: list[list[str]], i: int, c: int, width: int) -> float:
     if c >= len(row):
         raise DataError(f"row {i + 1}: missing column {c}")
     try:
-        return float(row[c])
+        value = float(row[c])
     except ValueError:
         raise DataError(f"row {i + 1}, column {c}: not numeric: {row[c]!r}") from None
+    if not math.isfinite(value):
+        raise DataError(f"row {i + 1}, column {c}: not finite: {row[c]!r}")
+    return value
 
 
-def _extract(rows: list[list[str]], cols: list[int], width: int) -> np.ndarray:
-    return np.array(
-        [[_parse_cell(rows, i, c, width) for c in cols] for i in range(len(rows))]
-    )
+def _extract(rows: list[list[str]], width: int, *groups: list[int]) -> list[np.ndarray]:
+    """One float array per group of column indices, each (rows, len(group)).
+
+    A table whose rows all have the header's width and whose requested cells
+    are finite numbers converts in one numpy pass; numpy accepts and rejects
+    the same strings as ``float()``. Any other table goes cell by cell, group
+    after group, so the first bad cell is reported by its row and column.
+    """
+    if all(len(row) == width for row in rows):
+        try:
+            table = np.array(rows, dtype=float)
+        except ValueError:
+            pass
+        else:
+            picked = [table[:, cols] for cols in groups]
+            if all(np.isfinite(part).all() for part in picked):
+                return picked
+    return [
+        np.array([[_parse_cell(rows, i, c, width) for c in cols] for i in range(len(rows))])
+        for cols in groups
+    ]
 
 
 def load_sample(path: str, x_cols: list[int], y_cols: list[int], seed: int = 0) -> PairedSample:
@@ -80,8 +101,7 @@ def load_sample(path: str, x_cols: list[int], y_cols: list[int], seed: int = 0) 
     for c in x_cols + y_cols:
         if c >= len(header) or c < 0:
             raise DataError(f"column {c} not in file (has {len(header)} columns)")
-    xs = _extract(rows, x_cols, len(header))
-    ys = _extract(rows, y_cols, len(header))
+    xs, ys = _extract(rows, len(header), x_cols, y_cols)
     return PairedSample(xs, ys, seed=seed)
 
 
@@ -90,7 +110,7 @@ def load_cloud(path: str) -> DiscreteMeasure:
     header, rows = _read_rows(path)
     if not rows:
         raise DataError(f"{path}: no data rows")
-    pts = _extract(rows, list(range(len(header))), len(header))
+    (pts,) = _extract(rows, len(header), list(range(len(header))))
     return to_measure(pts)
 
 

@@ -66,24 +66,45 @@ def _is_dirac(law: DiscreteMeasure) -> bool:
     return law.n == 1 or bool(np.all(law.points == law.points[0]))
 
 
+def _sorted_marginal(marginal: DiscreteMeasure) -> tuple[np.ndarray, np.ndarray]:
+    """Scalar marginal atoms and weights in stable ascending order.
+
+    ``_quantile_cost`` stably argsorts its inputs itself; on input already in
+    that order the argsort is the identity, so sorting once per call changes
+    no bit of any group's cost while sparing one full sort per group.
+    """
+    order = np.argsort(marginal.points[:, 0], kind="stable")
+    return marginal.points[order, 0], marginal.weights[order]
+
+
 def _group_power_cost(
-    law: DiscreteMeasure, marginal: DiscreteMeasure, p: float, quantile: bool
+    law: DiscreteMeasure,
+    marginal: DiscreteMeasure,
+    p: float,
+    sorted_y: tuple[np.ndarray, np.ndarray] | None,
 ) -> float:
-    """W_p^p between one conditional law and the marginal."""
+    """W_p^p between one conditional law and the marginal.
+
+    ``sorted_y`` is the marginal from :func:`_sorted_marginal` to take the
+    quantile route, or None to solve the transport problem. The dirac route
+    reads the marginal in its original order, on which the exact 1.0 of a
+    functional sample depends.
+    """
     if _is_dirac(law):
         return dirac_transport_cost(law.points[0], marginal.points, marginal.weights, p)
-    if quantile:
-        return _quantile_cost(
-            law.points[:, 0], law.weights, marginal.points[:, 0], marginal.weights, p
-        )
+    if sorted_y is not None:
+        return _quantile_cost(law.points[:, 0], law.weights, *sorted_y, p)
     return solve_exact(law, marginal, CostSpec(p=p)).cost
 
 
 def _family_power(
-    family: ConditionalFamily, marginal: DiscreteMeasure, p: float, quantile: bool
+    family: ConditionalFamily,
+    marginal: DiscreteMeasure,
+    p: float,
+    sorted_y: tuple[np.ndarray, np.ndarray] | None,
 ) -> float:
     costs = np.array(
-        [_group_power_cost(law, marginal, p, quantile) for law in family.laws]
+        [_group_power_cost(law, marginal, p, sorted_y) for law in family.laws]
     )
     return float(np.dot(family.group_weights, costs))
 
@@ -102,7 +123,7 @@ def d_conditional(
     """
     if check:
         _check_marginal(family, marginal)
-    return _family_power(family, marginal, p, quantile=False) ** (1.0 / p)
+    return _family_power(family, marginal, p, None) ** (1.0 / p)
 
 
 def d_conditional_1d(
@@ -117,7 +138,7 @@ def d_conditional_1d(
         raise DataError("the quantile route needs one-dimensional y")
     if check:
         _check_marginal(family, marginal)
-    return _family_power(family, marginal, p, quantile=True) ** (1.0 / p)
+    return _family_power(family, marginal, p, _sorted_marginal(marginal)) ** (1.0 / p)
 
 
 def gaussian_conditional_index(rho: float) -> float:
@@ -127,7 +148,7 @@ def gaussian_conditional_index(rho: float) -> float:
     return float(1.0 - np.sqrt(1.0 - rho * rho))
 
 
-def _plugin_power(ys: np.ndarray, marginal: DiscreteMeasure, p: float) -> float:
+def _plugin_power(marginal: DiscreteMeasure, p: float) -> float:
     """With-replacement mean discrepancy, accumulated exactly like the
     all-dirac numerator: one forced-coupling cost per row, then one dot."""
     rows = np.array(
@@ -157,19 +178,19 @@ def i_conditional(
         raise ValueError(f"unknown partition mode {mode!r}")
     family = partition(sample, mode, phi=phi, snap_y=snap_y)
     marginal = family.pooled_marginal() if snap_y else to_measure(sample.ys)
-    quantile = sample.dy == 1
+    sorted_y = _sorted_marginal(marginal) if sample.dy == 1 else None
 
     if mode == "exact":
         costs = np.empty(family.k)
         for g, law in enumerate(family.laws):
-            costs[g] = _group_power_cost(law, marginal, p, quantile)
+            costs[g] = _group_power_cost(law, marginal, p, sorted_y)
         row_costs = np.empty(sample.n)
         for g, idx in enumerate(family.groups):
             row_costs[idx] = costs[g]
         numerator_p = float(np.dot(marginal.weights, row_costs))
-        denominator_p = _plugin_power(sample.ys, marginal, p)
+        denominator_p = _plugin_power(marginal, p)
     else:
-        numerator_p = _family_power(family, marginal, p, quantile)
+        numerator_p = _family_power(family, marginal, p, sorted_y)
         denominator_p = gmd_ustat(sample.ys, p)
 
     if denominator_p <= 0.0:

@@ -134,6 +134,59 @@ def test_bad_cell_is_reported_with_row_and_column(tmp_path, capsys):
     assert "oops" in err
 
 
+@pytest.mark.parametrize("cell", ["nan", "inf", "-Infinity", "1e400"])
+def test_non_finite_cell_is_reported_with_row_and_column(tmp_path, capsys, cell):
+    rows = ["x,y"] + [f"{i}.0,{i}.5" for i in range(30)]
+    rows[12] = f"{cell},3.5"
+    bad = tmp_path / "bad.csv"
+    bad.write_text("\n".join(rows) + "\n")
+    code, _, err = _run(capsys, ["index", "joint", "--file", str(bad), "--x", "0", "--y", "1"])
+    assert code == 1
+    assert f"row 12, column 0: not finite: {cell!r}" in err
+
+
+@pytest.mark.parametrize(
+    "text, message",
+    [
+        ("x,y\n1.0,2.0\n\n4.0,5.0\n", "row 2: expected 2 fields, found 0"),
+        ("x,y\n1.0,2.0,3.0\n4.0,5.0,6.0\n", "row 1: expected 2 fields, found 3"),
+    ],
+    ids=["blank_line", "every_row_wider"],
+)
+def test_rows_not_of_the_header_width_are_reported(tmp_path, capsys, text, message):
+    bad = tmp_path / "bad.csv"
+    bad.write_text(text)
+    code, _, err = _run(capsys, ["index", "gaussian", "--file", str(bad), "--x", "0", "--y", "1"])
+    assert code == 1
+    assert message in err
+
+
+def test_unrequested_columns_may_hold_anything(tmp_path):
+    data = tmp_path / "labelled.csv"
+    data.write_text("x,label,y,extra\n1.0,a,2.0,nan\n3.0,b,5.0,inf\n4.0,,7.0,1\n")
+    sample = load_sample(str(data), [0], [2])
+    assert sample.xs[:, 0].tolist() == [1.0, 3.0, 4.0]
+    assert sample.ys[:, 0].tolist() == [2.0, 5.0, 7.0]
+
+
+def test_loaded_values_equal_float_of_each_cell(tmp_path):
+    cells = [
+        ["0.1", "1_000"],
+        [" 1.5 ", '"2.25"'],
+        ["-0", "1e-320"],
+        ["١٢٣.٥", "\t3"],
+        ['"-7e3"', "+4."],
+    ]
+    data = tmp_path / "odd.csv"
+    data.write_text("x,y\n" + "".join(",".join(row) + "\n" for row in cells), encoding="utf-8")
+    sample = load_sample(str(data), [0], [1])
+    cloud = load_cloud(str(data))
+    expected = np.array([[float(c.strip('"')) for c in row] for row in cells])
+    assert np.array_equal(sample.joint_rows(), expected)
+    assert np.array_equal(cloud.points, expected)
+    assert np.array_equal(np.signbit(sample.xs[:, 0]), np.signbit(expected[:, 0]))
+
+
 def test_ragged_row_is_reported(tmp_path, capsys):
     bad = tmp_path / "ragged.csv"
     bad.write_text("x,y\n1.0,2.0\n3.0\n4.0,5.0\n")

@@ -12,8 +12,9 @@ from wassdep.conditional import (
     w_lipschitz_estimate,
 )
 from wassdep.empirical import ConditionalFamily, PairedSample, partition, to_measure
+from wassdep.exact import _quantile_cost
 from wassdep.exceptions import DataError
-from wassdep.measures import CostSpec
+from wassdep.measures import CostSpec, DiscreteMeasure
 
 
 def _tied_sample():
@@ -93,6 +94,64 @@ def test_quantile_route_matches_the_solver_route():
         a = d_conditional(family, marginal, p=p)
         b = d_conditional_1d(family, marginal, p=p)
         assert a == pytest.approx(b, abs=1e-12)
+
+
+def _shuffled_tied_sample():
+    # Unequal group sizes, y rounded to one decimal so it has ties, rows shuffled.
+    rng = np.random.default_rng(7)
+    x = np.repeat(np.arange(6.0), [3, 9, 4, 17, 6, 11])
+    y = np.round(0.5 * x + rng.normal(size=x.size), 1)
+    order = rng.permutation(x.size)
+    return PairedSample(x[order], y[order], seed=0)
+
+
+def _unsorted_costs(family, marginal, p):
+    """Each group's quantile cost against the marginal in its original order."""
+    assert not any(np.all(law.points == law.points[0]) for law in family.laws)
+    y, wy = marginal.points[:, 0], marginal.weights
+    return np.array([_quantile_cost(law.points[:, 0], law.weights, y, wy, p) for law in family.laws])
+
+
+@pytest.mark.parametrize("p", [1.0, 2.0])
+def test_sorting_the_marginal_once_changes_no_bits(p):
+    sample = _shuffled_tied_sample()
+    marginal = to_measure(sample.ys)
+    assert len(np.unique(sample.ys)) < sample.n
+
+    for snap_y in (False, True):
+        family = partition(sample, "bins", snap_y=snap_y)
+        pooled = family.pooled_marginal() if snap_y else marginal
+        expected = float(np.dot(family.group_weights, _unsorted_costs(family, pooled, p)))
+        report = i_conditional(sample, mode="bins", p=p, snap_y=snap_y)
+        assert report.numerator == expected
+
+    family = partition(sample, "exact")
+    row_costs = np.empty(sample.n)
+    for idx, cost in zip(family.groups, _unsorted_costs(family, marginal, p)):
+        row_costs[idx] = cost
+    expected = float(np.dot(marginal.weights, row_costs))
+    assert i_conditional(sample, mode="exact", p=p).numerator == expected
+
+
+@pytest.mark.parametrize("p", [1.0, 2.0])
+def test_quantile_route_matches_the_solver_route_on_weighted_laws(p):
+    family = partition(_shuffled_tied_sample(), "exact")
+    rng = np.random.default_rng(11)
+    laws = []
+    for law in family.laws:
+        w = rng.uniform(0.1, 1.0, size=law.n)
+        laws.append(DiscreteMeasure(law.points, w / w.sum()))
+    weighted = ConditionalFamily(
+        representatives=family.representatives,
+        laws=tuple(laws),
+        groups=family.groups,
+        group_weights=family.group_weights,
+        n_rows=family.n_rows,
+    )
+    marginal = weighted.pooled_marginal()
+    a = d_conditional(weighted, marginal, p=p)
+    b = d_conditional_1d(weighted, marginal, p=p)
+    assert b == pytest.approx(a, abs=1e-9)
 
 
 def test_quantile_route_needs_scalar_y():
