@@ -10,13 +10,13 @@ re-exported here.
 """
 
 from .concordance import (
-    ConcordanceReport,
     antithetic_denominator,
     concordance_index,
     d_to_diagonal,
     diagonal_transport_map,
 )
 from .conditional import (
+    adapted_wasserstein,
     d_conditional,
     d_conditional_1d,
     d_conditional_entropic,
@@ -38,7 +38,6 @@ from .empirical import (
 )
 from .entropic import sinkhorn_discrepancy, sinkhorn_divergence
 from .exact import (
-    adapted_wasserstein,
     gaussian_w2,
     solve_exact,
     solve_from_cost,
@@ -47,6 +46,7 @@ from .exact import (
 from .exceptions import (
     DataError,
     DegenerateMarginalError,
+    ExactSolverError,
     SinkhornConvergenceError,
     WassdepError,
 )
@@ -132,7 +132,6 @@ __all__ = [
     "i_gaussian",
     "i_gaussian_bivariate",
     "fit_gaussian_surrogate",
-    "ConcordanceReport",
     "diagonal_transport_map",
     "d_to_diagonal",
     "antithetic_denominator",
@@ -152,4 +151,5 @@ __all__ = [
     "DataError",
     "DegenerateMarginalError",
     "SinkhornConvergenceError",
+    "ExactSolverError",
 ]

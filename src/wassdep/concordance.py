@@ -13,38 +13,20 @@ on y = a - x.
 from __future__ import annotations
 
 import warnings
-from dataclasses import asdict, dataclass
 
 import numpy as np
 from scipy.stats import ks_2samp
 
 from .empirical import PairedSample, _rank_order, copula_transform, rank_grid_values
 from .exceptions import DataError, DegenerateMarginalError
+from .report import IndexReport
 
 __all__ = [
-    "ConcordanceReport",
     "diagonal_transport_map",
     "d_to_diagonal",
     "antithetic_denominator",
     "concordance_index",
 ]
-
-
-@dataclass(frozen=True)
-class ConcordanceReport:
-    """Signed concordance value with its two transport distances."""
-
-    value: float
-    numerator: float
-    denominator: float
-    center: float
-    mode: str
-    n: int
-
-    def to_dict(self) -> dict:
-        out = asdict(self)
-        out["index"] = "concordance"
-        return out
 
 
 def diagonal_transport_map(sample: PairedSample) -> tuple[np.ndarray, np.ndarray]:
@@ -125,7 +107,7 @@ def concordance_index(
     a: float | None = None,
     mode: str = "copula",
     strict: bool = False,
-) -> ConcordanceReport:
+) -> IndexReport:
     """Signed concordance index 1 - 2 * d(joint, diagonal) / d(antithetic, diagonal).
 
     ``copula`` mode rank-transforms both margins first (center a = 1), which
@@ -157,7 +139,8 @@ def concordance_index(
     if denominator <= 0.0:
         raise DegenerateMarginalError("degenerate normalization")
     value = 1.0 - 2.0 * (numerator / denominator)
-    return ConcordanceReport(
+    return IndexReport(
+        index="concordance",
         value=value,
         numerator=numerator,
         denominator=denominator,

@@ -6,29 +6,32 @@ by the marginal's with-replacement mean discrepancy gives an index in [0,1]:
 zero when every conditional equals the marginal, one when Y is a function
 of X.
 
-The one-point-conditional fast path and the plug-in discrepancy are computed
-through the same helper and the same dot-product reduction, so a sample with
-all-distinct x values and Y = f(X) yields an index of exactly 1.0, bit for
-bit. That exactness is also what makes the estimator discontinuous: an
+Every W_p^p between two discrete laws here goes through one route selector,
+:func:`_transport_power`. Its one-point fast path and the plug-in discrepancy
+are computed through the same helper and the same dot-product reduction, so a
+sample with all-distinct x values and Y = f(X) yields an index of exactly
+1.0, bit for bit. That exactness is also what makes the estimator discontinuous: an
 independent continuous sample has all-distinct x too.
 """
 
 from __future__ import annotations
 
 import numpy as np
+from scipy.spatial.distance import cdist
 
 from .empirical import (
     ConditionalFamily,
     PairedSample,
     dirac_transport_cost,
+    gmd_plugin,
     gmd_ustat,
     partition,
     to_measure,
 )
 from .entropic import sinkhorn_discrepancy
-from .exact import _quantile_cost, solve_exact
+from .exact import _quantile_cost, solve_exact, solve_from_cost
 from .exceptions import DataError, DegenerateMarginalError
-from .measures import CostSpec, DiscreteMeasure
+from .measures import CostSpec, DiscreteMeasure, TwoStageDiscreteLaw
 from .report import IndexReport
 
 __all__ = [
@@ -38,6 +41,7 @@ __all__ = [
     "gaussian_conditional_index",
     "d_conditional_entropic",
     "w_lipschitz_estimate",
+    "adapted_wasserstein",
 ]
 
 
@@ -66,46 +70,25 @@ def _is_dirac(law: DiscreteMeasure) -> bool:
     return law.n == 1 or bool(np.all(law.points == law.points[0]))
 
 
-def _sorted_marginal(marginal: DiscreteMeasure) -> tuple[np.ndarray, np.ndarray]:
-    """Scalar marginal atoms and weights in stable ascending order.
+def _transport_power(law: DiscreteMeasure, target: DiscreteMeasure, p: float) -> float:
+    """W_p^p between two discrete laws, by the cheapest exact route.
 
-    ``_quantile_cost`` stably argsorts its inputs itself; on input already in
-    that order the argsort is the identity, so sorting once per call changes
-    no bit of any group's cost while sparing one full sort per group.
-    """
-    order = np.argsort(marginal.points[:, 0], kind="stable")
-    return marginal.points[order, 0], marginal.weights[order]
-
-
-def _group_power_cost(
-    law: DiscreteMeasure,
-    marginal: DiscreteMeasure,
-    p: float,
-    sorted_y: tuple[np.ndarray, np.ndarray] | None,
-) -> float:
-    """W_p^p between one conditional law and the marginal.
-
-    ``sorted_y`` is the marginal from :func:`_sorted_marginal` to take the
-    quantile route, or None to solve the transport problem. The dirac route
-    reads the marginal in its original order, on which the exact 1.0 of a
-    functional sample depends.
+    A one-point law has only the forced coupling; it reads the target in its
+    original order, on which the exact 1.0 of a functional sample depends.
+    Scalar laws take the quantile integral against the target's atoms as
+    sorted once per measure (``_quantile_cost``'s own stable argsort of them
+    is the identity, so no bit changes). Anything else goes to the exact
+    solver, which picks assignment or LP itself.
     """
     if _is_dirac(law):
-        return dirac_transport_cost(law.points[0], marginal.points, marginal.weights, p)
-    if sorted_y is not None:
-        return _quantile_cost(law.points[:, 0], law.weights, *sorted_y, p)
-    return solve_exact(law, marginal, CostSpec(p=p)).cost
+        return dirac_transport_cost(law.points[0], target.points, target.weights, p)
+    if law.dim == target.dim == 1:
+        return _quantile_cost(law.points[:, 0], law.weights, *target.sorted_first_coordinate, p)
+    return solve_exact(law, target, CostSpec(p=p)).cost
 
 
-def _family_power(
-    family: ConditionalFamily,
-    marginal: DiscreteMeasure,
-    p: float,
-    sorted_y: tuple[np.ndarray, np.ndarray] | None,
-) -> float:
-    costs = np.array(
-        [_group_power_cost(law, marginal, p, sorted_y) for law in family.laws]
-    )
+def _family_power(family: ConditionalFamily, marginal: DiscreteMeasure, p: float) -> float:
+    costs = np.array([_transport_power(law, marginal, p) for law in family.laws])
     return float(np.dot(family.group_weights, costs))
 
 
@@ -117,13 +100,13 @@ def d_conditional(
 ) -> float:
     """Averaged conditional-to-marginal transport distance.
 
-    Returns (sum_g w_g W_p(law_g, marginal)^p)^(1/p) with each group distance
-    from the exact solver (one-point conditionals take the forced-coupling
-    shortcut). Zero iff every group law equals the marginal.
+    Returns (sum_g w_g W_p(law_g, marginal)^p)^(1/p), each group's term by
+    :func:`_transport_power` (forced coupling, quantile integral for scalar y,
+    or the exact solver). Zero iff every group law equals the marginal.
     """
     if check:
         _check_marginal(family, marginal)
-    return _family_power(family, marginal, p, None) ** (1.0 / p)
+    return _family_power(family, marginal, p) ** (1.0 / p)
 
 
 def d_conditional_1d(
@@ -132,13 +115,11 @@ def d_conditional_1d(
     p: float = 1.0,
     check: bool = True,
 ) -> float:
-    """Same value as :func:`d_conditional` for scalar y, via per-group
-    quantile integrals instead of transport solves."""
+    """:func:`d_conditional` restricted to scalar y, which it already solves
+    by per-group quantile integrals."""
     if marginal.dim != 1:
         raise DataError("the quantile route needs one-dimensional y")
-    if check:
-        _check_marginal(family, marginal)
-    return _family_power(family, marginal, p, _sorted_marginal(marginal)) ** (1.0 / p)
+    return d_conditional(family, marginal, p, check)
 
 
 def gaussian_conditional_index(rho: float) -> float:
@@ -146,18 +127,6 @@ def gaussian_conditional_index(rho: float) -> float:
     if not -1.0 <= rho <= 1.0:
         raise ValueError("correlation must lie in [-1, 1]")
     return float(1.0 - np.sqrt(1.0 - rho * rho))
-
-
-def _plugin_power(marginal: DiscreteMeasure, p: float) -> float:
-    """With-replacement mean discrepancy, accumulated exactly like the
-    all-dirac numerator: one forced-coupling cost per row, then one dot."""
-    rows = np.array(
-        [
-            dirac_transport_cost(marginal.points[i], marginal.points, marginal.weights, p)
-            for i in range(marginal.n)
-        ]
-    )
-    return float(np.dot(marginal.weights, rows))
 
 
 def i_conditional(
@@ -178,19 +147,15 @@ def i_conditional(
         raise ValueError(f"unknown partition mode {mode!r}")
     family = partition(sample, mode, phi=phi, snap_y=snap_y)
     marginal = family.pooled_marginal() if snap_y else to_measure(sample.ys)
-    sorted_y = _sorted_marginal(marginal) if sample.dy == 1 else None
 
     if mode == "exact":
-        costs = np.empty(family.k)
-        for g, law in enumerate(family.laws):
-            costs[g] = _group_power_cost(law, marginal, p, sorted_y)
         row_costs = np.empty(sample.n)
-        for g, idx in enumerate(family.groups):
-            row_costs[idx] = costs[g]
+        for law, idx in zip(family.laws, family.groups):
+            row_costs[idx] = _transport_power(law, marginal, p)
         numerator_p = float(np.dot(marginal.weights, row_costs))
-        denominator_p = _plugin_power(marginal, p)
+        denominator_p = gmd_plugin(marginal, p)
     else:
-        numerator_p = _family_power(family, marginal, p, sorted_y)
+        numerator_p = _family_power(family, marginal, p)
         denominator_p = gmd_ustat(sample.ys, p)
 
     if denominator_p <= 0.0:
@@ -239,24 +204,38 @@ def w_lipschitz_estimate(family: ConditionalFamily, p: float = 1.0) -> float:
     if k < 2:
         raise DataError("need at least 2 groups")
     best = None
-    quantile = family.laws[0].dim == 1
     for g in range(k):
         for h in range(g + 1, k):
             gap = float(np.linalg.norm(family.representatives[g] - family.representatives[h]))
             if gap == 0.0:
                 continue
-            if quantile:
-                cost = _quantile_cost(
-                    family.laws[g].points[:, 0],
-                    family.laws[g].weights,
-                    family.laws[h].points[:, 0],
-                    family.laws[h].weights,
-                    p,
-                )
-            else:
-                cost = solve_exact(family.laws[g], family.laws[h], CostSpec(p=p)).cost
+            cost = _transport_power(family.laws[g], family.laws[h], p)
             ratio = cost ** (1.0 / p) / gap
             best = ratio if best is None else max(best, ratio)
     if best is None:
         raise DataError("all group representatives coincide")
     return best
+
+
+def adapted_wasserstein(law1: TwoStageDiscreteLaw, law2: TwoStageDiscreteLaw, spec: CostSpec) -> float:
+    """Nested transport distance between discrete two-stage laws.
+
+    Outer exact OT over the first marginals where moving x to x' costs
+    ``|x - x'|^p`` plus ``W_p^p`` between the attached conditional laws; the
+    p-th root of the optimum is returned. Only ``spec.p`` is consulted: the
+    nested cost has its own fixed two-level structure.
+    """
+    if law1.x_points.shape[1] != law2.x_points.shape[1]:
+        raise ValueError("first-coordinate dimensions disagree")
+    if law1.conditionals[0].dim != law2.conditionals[0].dim:
+        raise ValueError("conditional dimensions disagree")
+    p = spec.p
+    outer = cdist(law1.x_points, law2.x_points)
+    if p != 1:
+        outer = outer ** p
+    inner = np.empty((law1.n, law2.n))
+    for i, cond_i in enumerate(law1.conditionals):
+        for j, cond_j in enumerate(law2.conditionals):
+            inner[i, j] = _transport_power(cond_i, cond_j, p)
+    _, total = solve_from_cost(outer + inner, law1.x_weights, law2.x_weights)
+    return max(total, 0.0) ** (1.0 / p)

@@ -125,15 +125,17 @@ def gmd_ustat(rows, p: float = 1.0, spec: CostSpec | None = None) -> float:
 def gmd_plugin(measure: DiscreteMeasure, p: float = 1.0) -> float:
     """With-replacement mean p-th power discrepancy of a weighted measure.
 
-    Computed row by row through :func:`dirac_transport_cost` so that callers
-    pairing it with dirac transport costs accumulate bitwise-identical sums.
+    One :func:`dirac_transport_cost` per row, then one dot product: the same
+    reduction as an all-dirac conditional numerator, so the two agree bit for
+    bit on a functional sample.
     """
-    total = 0.0
-    for i in range(measure.n):
-        total += measure.weights[i] * dirac_transport_cost(
-            measure.points[i], measure.points, measure.weights, p
-        )
-    return total
+    rows = np.array(
+        [
+            dirac_transport_cost(measure.points[i], measure.points, measure.weights, p)
+            for i in range(measure.n)
+        ]
+    )
+    return float(np.dot(measure.weights, rows))
 
 
 def dirac_transport_cost(point: np.ndarray, support: np.ndarray, weights: np.ndarray, p: float) -> float:

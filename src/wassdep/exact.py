@@ -13,20 +13,15 @@ import numpy as np
 from scipy import sparse
 from scipy.optimize import linear_sum_assignment, linprog
 
-from .exceptions import WassdepError
-from .measures import CostSpec, DiscreteMeasure, TransportPlan, TwoStageDiscreteLaw, cost_matrix
+from .exceptions import DataError, ExactSolverError
+from .measures import CostSpec, DiscreteMeasure, TransportPlan, cost_matrix
 
 __all__ = [
     "solve_exact",
     "solve_from_cost",
     "wasserstein_1d",
     "gaussian_w2",
-    "adapted_wasserstein",
 ]
-
-
-class ExactSolverError(WassdepError, RuntimeError):
-    """The LP backend failed; must not happen on well-posed transport inputs."""
 
 
 # ---------------------------------------------------------------------------
@@ -132,21 +127,31 @@ def wasserstein_1d(src: DiscreteMeasure, dst: DiscreteMeasure, p: float = 1.0) -
 RELATIVE_PSD_TOL = 1e-8
 
 
-def _psd_sqrt(mat: np.ndarray, what: str) -> np.ndarray:
-    mat = np.asarray(mat, dtype=float)
+def _psd_eigh(mat, what: str) -> tuple[np.ndarray, np.ndarray]:
+    """Eigenvalues (clamped at zero) and eigenvectors of a symmetric PSD matrix.
+
+    Both checks are relative to the matrix's own scale, so a covariance is
+    accepted or rejected alike in any units: an asymmetry beyond
+    RELATIVE_PSD_TOL * max|S_ij|, or an eigenvalue below
+    -RELATIVE_PSD_TOL * max|lambda|, raises DataError.
+    """
+    mat = np.atleast_2d(np.asarray(mat, dtype=float))
     if mat.ndim != 2 or mat.shape[0] != mat.shape[1]:
-        raise ValueError(f"{what} must be a square matrix")
-    scale = max(float(np.abs(mat).max()), 1e-300)
-    if np.abs(mat - mat.T).max() > RELATIVE_PSD_TOL * scale:
-        raise ValueError(f"{what} is not symmetric")
-    eigvals, eigvecs = np.linalg.eigh((mat + mat.T) / 2)
-    bound = RELATIVE_PSD_TOL * max(float(np.abs(eigvals).max()), 1e-300)
-    if eigvals.min() < -bound:
-        raise ValueError(
-            f"{what} is indefinite: eigenvalue {eigvals.min()!r} below -{bound!r}"
+        raise DataError(f"{what} must be a square matrix")
+    if np.abs(mat - mat.T).max() > RELATIVE_PSD_TOL * np.abs(mat).max():
+        raise DataError(f"{what} is not symmetric")
+    vals, vecs = np.linalg.eigh((mat + mat.T) / 2)
+    bound = RELATIVE_PSD_TOL * float(np.abs(vals).max())
+    if vals.min() < -bound:
+        raise DataError(
+            f"{what} is not positive semidefinite: eigenvalue {vals.min():.6g} below {-bound:.6g}"
         )
-    eigvals = np.clip(eigvals, 0.0, None)
-    return (eigvecs * np.sqrt(eigvals)) @ eigvecs.T
+    return np.clip(vals, 0.0, None), vecs
+
+
+def _psd_sqrt(mat, what: str) -> np.ndarray:
+    vals, vecs = _psd_eigh(mat, what)
+    return (vecs * np.sqrt(vals)) @ vecs.T
 
 
 def gaussian_w2(mean1, cov1, mean2, cov2) -> float:
@@ -169,42 +174,3 @@ def gaussian_w2(mean1, cov1, mean2, cov2) -> float:
     trace_term = float(np.trace(s1) + np.trace(s2) - 2.0 * np.trace(cross))
     squared = float(np.sum((a1 - a2) ** 2)) + trace_term
     return float(np.sqrt(max(squared, 0.0)))
-
-
-# ---------------------------------------------------------------------------
-# Adapted (nested) distance for discrete two-stage laws
-# ---------------------------------------------------------------------------
-
-
-def _conditional_cost(first: DiscreteMeasure, second: DiscreteMeasure, p: float) -> float:
-    """W_p^p between two conditional laws (1D fast path, exact LP otherwise)."""
-    if first.dim == 1:
-        return _quantile_cost(first.points[:, 0], first.weights, second.points[:, 0], second.weights, p)
-    spec = CostSpec(p=p)
-    return solve_exact(first, second, spec).cost
-
-
-def adapted_wasserstein(law1: TwoStageDiscreteLaw, law2: TwoStageDiscreteLaw, spec: CostSpec) -> float:
-    """Nested transport distance between discrete two-stage laws.
-
-    Outer exact OT over the first marginals where moving x to x' costs
-    ``|x - x'|^p`` plus ``W_p^p`` between the attached conditional laws; the
-    p-th root of the optimum is returned. Only ``spec.p`` is consulted: the
-    nested cost has its own fixed two-level structure.
-    """
-    if law1.x_points.shape[1] != law2.x_points.shape[1]:
-        raise ValueError("first-coordinate dimensions disagree")
-    if law1.conditionals[0].dim != law2.conditionals[0].dim:
-        raise ValueError("conditional dimensions disagree")
-    p = spec.p
-    from scipy.spatial.distance import cdist
-
-    outer = cdist(law1.x_points, law2.x_points)
-    if p != 1:
-        outer = outer ** p
-    inner = np.empty((law1.n, law2.n))
-    for i, cond_i in enumerate(law1.conditionals):
-        for j, cond_j in enumerate(law2.conditionals):
-            inner[i, j] = _conditional_cost(cond_i, cond_j, p)
-    _, total = solve_from_cost(outer + inner, law1.x_weights, law2.x_weights)
-    return max(total, 0.0) ** (1.0 / p)

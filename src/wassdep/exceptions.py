@@ -7,6 +7,7 @@ __all__ = [
     "DegenerateMarginalError",
     "SinkhornConvergenceError",
     "DataError",
+    "ExactSolverError",
 ]
 
 
@@ -32,3 +33,7 @@ class SinkhornConvergenceError(WassdepError, RuntimeError):
 
 class DataError(WassdepError, ValueError):
     """Input data could not be parsed or fails a structural requirement."""
+
+
+class ExactSolverError(WassdepError, RuntimeError):
+    """The LP backend failed; must not happen on well-posed transport inputs."""

@@ -15,6 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .empirical import PairedSample
+from .exact import _psd_eigh, _psd_sqrt
 from .exceptions import DataError, DegenerateMarginalError
 from .report import IndexReport
 
@@ -26,20 +27,6 @@ __all__ = [
     "gaussian_index_report",
 ]
 
-_PSD_TOL = 1e-10
-
-
-def _check_symmetric_psd(mat: np.ndarray, what: str) -> np.ndarray:
-    mat = np.atleast_2d(np.asarray(mat, dtype=float))
-    if mat.shape[0] != mat.shape[1]:
-        raise DataError(f"{what} must be square")
-    scale = max(float(np.abs(mat).max()), 1.0)
-    if np.abs(mat - mat.T).max() > 1e-8 * scale:
-        raise DataError(f"{what} is not symmetric")
-    if np.linalg.eigvalsh((mat + mat.T) / 2).min() < -1e-8 * scale:
-        raise DataError(f"{what} is not positive semidefinite")
-    return (mat + mat.T) / 2
-
 
 @dataclass(frozen=True)
 class GaussianDependenceParams:
@@ -50,15 +37,19 @@ class GaussianDependenceParams:
     sigma_xy: np.ndarray
 
     def __post_init__(self):
-        sx = _check_symmetric_psd(self.sigma_x, "x-covariance")
-        sy = _check_symmetric_psd(self.sigma_y, "y-covariance")
+        blocks = []
+        for mat, what in ((self.sigma_x, "x-covariance"), (self.sigma_y, "y-covariance")):
+            mat = np.atleast_2d(np.asarray(mat, dtype=float))
+            _psd_eigh(mat, what)
+            blocks.append((mat + mat.T) / 2)
+        sx, sy = blocks
         sxy = np.atleast_2d(np.asarray(self.sigma_xy, dtype=float))
         if sxy.shape != (sx.shape[0], sy.shape[0]):
             raise DataError("cross-covariance shape does not match the blocks")
         object.__setattr__(self, "sigma_x", sx)
         object.__setattr__(self, "sigma_y", sy)
         object.__setattr__(self, "sigma_xy", sxy)
-        _check_symmetric_psd(self.joint(), "joint covariance")
+        _psd_eigh(self.joint(), "joint covariance")
 
     @property
     def m1(self) -> int:
@@ -79,14 +70,6 @@ class GaussianDependenceParams:
         return out
 
 
-def _sqrt_eigvals(mat: np.ndarray) -> np.ndarray:
-    """Square roots of eigenvalues, with tiny negatives clamped to zero."""
-    vals = np.linalg.eigvalsh(mat)
-    if vals.min() < -_PSD_TOL * max(float(np.abs(vals).max()), 1.0):
-        raise DataError("matrix is indefinite beyond tolerance")
-    return np.sqrt(np.clip(vals, 0.0, None))
-
-
 def i_gaussian(params: GaussianDependenceParams) -> float:
     """Eigenvalue form of the Gaussian dependence index.
 
@@ -98,13 +81,9 @@ def i_gaussian(params: GaussianDependenceParams) -> float:
     descending marginal eigenvalues, the shorter list padded with zeros.
     """
     joint = params.joint()
-    indep = params.independent()
-    vals, vecs = np.linalg.eigh(joint)
-    if vals.min() < -1e-8 * max(float(np.abs(vals).max()), 1.0):
-        raise DataError("joint covariance is indefinite")
-    root = (vecs * np.sqrt(np.clip(vals, 0.0, None))) @ vecs.T
-    inner = root @ indep @ root
-    kappa_sqrt = _sqrt_eigvals((inner + inner.T) / 2)
+    root = _psd_sqrt(joint, "joint covariance")
+    inner = root @ params.independent() @ root
+    kappa, _ = _psd_eigh((inner + inner.T) / 2, "kappa matrix")
 
     depth = max(params.m1, params.m2)
     lx = np.zeros(depth)
@@ -115,9 +94,9 @@ def i_gaussian(params: GaussianDependenceParams) -> float:
 
     trace = float(np.trace(joint))
     denominator = trace - sup_term
-    if denominator <= _PSD_TOL * max(trace, 1.0):
+    if denominator <= 1e-10 * trace:
         raise DegenerateMarginalError("both marginals are degenerate")
-    value = (trace - float(kappa_sqrt.sum())) / denominator
+    value = (trace - float(np.sqrt(kappa).sum())) / denominator
     if value > 1.0 + 1e-9 or value < -1e-9:
         raise DataError(f"index {value!r} escaped [0, 1]; input is ill-conditioned")
     return float(min(max(value, 0.0), 1.0))

@@ -15,10 +15,10 @@ from typing import Callable
 
 import numpy as np
 
-from .conditional import gaussian_conditional_index, i_conditional
+from .conditional import adapted_wasserstein, gaussian_conditional_index, i_conditional
 from .empirical import PairedSample, gmd_plugin, partition, product_estimator, to_measure
 from .entropic import sinkhorn_divergence
-from .exact import adapted_wasserstein, solve_exact, wasserstein_1d
+from .exact import solve_exact, wasserstein_1d
 from .exceptions import DataError
 from .gaussian import i_gaussian_bivariate
 from .joint import d_joint, i_joint, mori_gaussian_bounds

@@ -41,6 +41,7 @@ class IndexReport:
     partition: str | None = None
     variant: str | None = None
     mode: str | None = None
+    center: float | None = None
     n: int | None = None
     seed: int | None = None
     exceeds_unit: bool | None = None

@@ -221,6 +221,29 @@ def test_raw_concordance_without_center_fails_cleanly(tmp_path, capsys):
     assert "center" in err
 
 
+# Full stdout bytes: the schema test above checks only three keys and would
+# miss a renamed or dropped "center" (0.0 must print, not be dropped as empty).
+CONCORDANCE_STDOUT = {
+    (): '{"center": 1.0, "denominator": 0.577169819031, "index": "concordance", '
+    '"mode": "copula", "n": 40, "numerator": 0.166019577159, "value": 0.424711508867}\n',
+    ("--mode", "raw", "--center", "0.0"): '{"center": 0.0, "denominator": 1.57424741255, '
+    '"index": "concordance", "mode": "raw", "n": 40, "numerator": 0.409285320979, '
+    '"value": 0.480024146503}\n',
+    ("--mode", "raw", "--center", "0.25"): '{"center": 0.25, "denominator": 1.57424741255, '
+    '"index": "concordance", "mode": "raw", "n": 40, "numerator": 0.409285320979, '
+    '"value": 0.480024146503}\n',
+}
+
+
+@pytest.mark.parametrize("extra", sorted(CONCORDANCE_STDOUT))
+def test_concordance_stdout_bytes_are_pinned(tmp_path, capsys, extra):
+    data = _write_pair(tmp_path / "pair.csv")
+    argv = ["index", "concordance", "--file", str(data), "--x", "0", "--y", "1", *extra]
+    code, out, _ = _run(capsys, argv)
+    assert code == 0
+    assert out == CONCORDANCE_STDOUT[extra]
+
+
 def test_figure1_csv_matches_the_library_table(capsys):
     code, out, _ = _run(capsys, ["experiment", "figure1", "--grid", "5"])
     assert code == 0

@@ -4,6 +4,8 @@ import numpy as np
 import pytest
 
 from wassdep.conditional import (
+    _transport_power,
+    adapted_wasserstein,
     d_conditional,
     d_conditional_1d,
     d_conditional_entropic,
@@ -12,9 +14,9 @@ from wassdep.conditional import (
     w_lipschitz_estimate,
 )
 from wassdep.empirical import ConditionalFamily, PairedSample, partition, to_measure
-from wassdep.exact import _quantile_cost
+from wassdep.exact import _quantile_cost, solve_exact, solve_from_cost
 from wassdep.exceptions import DataError
-from wassdep.measures import CostSpec, DiscreteMeasure
+from wassdep.measures import CostSpec, DiscreteMeasure, TwoStageDiscreteLaw
 
 
 def _tied_sample():
@@ -205,3 +207,61 @@ def test_lipschitz_needs_distinct_groups():
 def test_partition_mode_is_validated():
     with pytest.raises(ValueError):
         i_conditional(_tied_sample(), mode="kmeans")
+
+
+# The route selector against the solver. For scalar y d_conditional and
+# d_conditional_1d take the same quantile route, so comparing the two checks
+# that route only against itself; these compare every route with solve_exact.
+
+
+@pytest.mark.parametrize("p", [1.0, 2.0, 3.0])
+def test_every_route_matches_the_solver_on_weighted_laws(p):
+    family = partition(_shuffled_tied_sample(), "exact")
+    rng = np.random.default_rng(11)
+    laws = []
+    for law in family.laws:
+        w = rng.uniform(0.1, 1.0, size=law.n)
+        laws.append(DiscreteMeasure(law.points, w / w.sum()))
+    laws.append(DiscreteMeasure.dirac(0.7))
+    marginal = DiscreteMeasure(
+        np.vstack([law.points for law in laws]),
+        np.concatenate([law.weights for law in laws]) / len(laws),
+    )
+    for law in laws:
+        want = solve_exact(law, marginal, CostSpec(p=p)).cost
+        assert _transport_power(law, marginal, p) == pytest.approx(want, abs=1e-9)
+        assert _transport_power(marginal, law, p) == pytest.approx(want, abs=1e-9)
+
+
+@pytest.mark.parametrize("p", [1.0, 2.0])
+def test_one_point_route_matches_the_solver_in_two_dimensions(p):
+    rng = np.random.default_rng(12)
+    target = DiscreteMeasure(rng.normal(size=(9, 2)), rng.dirichlet(np.ones(9)))
+    for point in rng.normal(size=(4, 2)):
+        law = DiscreteMeasure.dirac(point)
+        want = solve_exact(law, target, CostSpec(p=p)).cost
+        assert _transport_power(law, target, p) == pytest.approx(want, abs=1e-9)
+    tied = DiscreteMeasure(np.repeat(target.points[:1], 3, axis=0))
+    want = solve_exact(tied, target, CostSpec(p=p)).cost
+    assert _transport_power(tied, target, p) == pytest.approx(want, abs=1e-9)
+
+
+@pytest.mark.parametrize("p", [1.0, 2.0])
+def test_nested_distance_matches_solver_inner_costs(p):
+    rng = np.random.default_rng(13)
+    x1, x2 = rng.normal(size=(3, 1)), rng.normal(size=(4, 1))
+    conds1 = tuple(DiscreteMeasure.dirac(pt) for pt in rng.normal(size=(2, 2))) + (
+        to_measure(rng.normal(size=(4, 2))),
+    )
+    conds2 = (DiscreteMeasure.dirac(rng.normal(size=2)),) + tuple(
+        DiscreteMeasure(rng.normal(size=(5, 2)), rng.dirichlet(np.ones(5))) for _ in range(3)
+    )
+    law1 = TwoStageDiscreteLaw(x1, np.full(3, 1 / 3), conds1)
+    law2 = TwoStageDiscreteLaw(x2, rng.dirichlet(np.ones(4)), conds2)
+    inner = np.array(
+        [[solve_exact(a, b, CostSpec(p=p)).cost for b in conds2] for a in conds1]
+    )
+    outer = np.abs(x1 - x2.T) ** p
+    _, total = solve_from_cost(outer + inner, law1.x_weights, law2.x_weights)
+    want = total ** (1.0 / p)
+    assert adapted_wasserstein(law1, law2, CostSpec(p=p)) == pytest.approx(want, abs=1e-9)

@@ -6,10 +6,12 @@ never touches the solver.
 """
 
 import itertools
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
+import wassdep
 from wassdep import (
     CostSpec,
     DiscreteMeasure,
@@ -123,6 +125,18 @@ def test_distance_scales_with_homogeneity():
             spec,
         ).distance
         assert scaled == pytest.approx(2.5 * base, rel=1e-9)
+
+
+def test_lp_failure_raises_exact_solver_error(monkeypatch):
+    # Non-uniform weights take the LP route; a failed LP must not be read as
+    # an optimum.
+    failed = SimpleNamespace(success=False, status=4, message="numerical difficulties")
+    monkeypatch.setattr(wassdep.exact, "linprog", lambda *args, **kwargs: failed)
+    src = DiscreteMeasure(np.array([0.0, 1.0]), np.array([0.3, 0.7]))
+    dst = to_measure(np.array([0.0, 1.0, 2.0]))
+    with pytest.raises(wassdep.ExactSolverError, match="numerical difficulties"):
+        solve_exact(src, dst, CostSpec(p=1.0))
+    assert issubclass(wassdep.ExactSolverError, wassdep.WassdepError)
 
 
 # ---------------------------------------------------------------------------

@@ -5,6 +5,7 @@ import warnings
 import numpy as np
 import pytest
 
+from wassdep.cli import main
 from wassdep.empirical import PairedSample
 from wassdep.exceptions import DataError, DegenerateMarginalError
 from wassdep.gaussian import (
@@ -108,3 +109,39 @@ def test_report_schema():
     assert report.p == 2.0
     assert report.n == 200
     assert 0.0 <= report.value <= 1.0
+
+
+SCALES = [1e-12, 1e-9, 1e-6, 1e-3, 1.0, 1e3, 1e6, 1e9, 1e12]
+
+
+@pytest.mark.parametrize("c", SCALES)
+def test_index_does_not_depend_on_units(c):
+    sx = np.array([[2.0, 0.3], [0.3, 1.0]])
+    sy = np.array([[1.5]])
+    sxy = np.array([[0.4], [-0.2]])
+    unit = i_gaussian(GaussianDependenceParams(sx, sy, sxy))
+    scaled = i_gaussian(GaussianDependenceParams(c * c * sx, c * c * sy, c * c * sxy))
+    assert 0.0 < unit < 1.0
+    assert scaled == pytest.approx(unit, abs=1e-12)
+
+
+@pytest.mark.parametrize("c", SCALES)
+def test_indefinite_block_is_rejected_at_every_scale(c):
+    with pytest.raises(DataError, match="not positive semidefinite") as info:
+        GaussianDependenceParams(np.diag([c, -1e-3 * c]), np.array([[c]]), np.zeros((2, 1)))
+    assert "np.float64" not in str(info.value)
+
+
+def test_cli_output_does_not_depend_on_units(tmp_path, capsys):
+    rng = np.random.default_rng(6)
+    x = rng.normal(size=500)
+    y = 0.6 * x + 0.8 * rng.normal(size=500)
+    outputs = []
+    for c in (1.0, 1e-6):
+        path = tmp_path / f"pair{c}.csv"
+        rows = [f"{float(a)!r},{float(b)!r}" for a, b in zip(c * x, c * y)]
+        path.write_text("x,y\n" + "\n".join(rows) + "\n")
+        assert main(["index", "gaussian", "--file", str(path), "--x", "0", "--y", "1"]) == 0
+        outputs.append(capsys.readouterr().out)
+    assert outputs[0] == outputs[1]
+    assert '"value": 0.177333014222' in outputs[0]
