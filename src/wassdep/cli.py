@@ -72,16 +72,21 @@ def _extract(rows: list[list[str]], width: int, *groups: list[int]) -> list[np.n
 
     A table whose rows all have the header's width and whose requested cells
     are finite numbers converts in one numpy pass; numpy accepts and rejects
-    the same strings as ``float()``. Any other table goes cell by cell, group
-    after group, so the first bad cell is reported by its row and column.
+    the same strings as ``float()``. A text cell in a column that was not
+    requested costs a second pass over the requested columns alone. Any
+    other table goes cell by cell, group after group, so the first bad cell
+    is reported by its row and column.
     """
     if all(len(row) == width for row in rows):
         try:
             table = np.array(rows, dtype=float)
         except ValueError:
+            table = np.array(rows, dtype=object)
+        try:
+            picked = [table[:, cols].astype(float, copy=False) for cols in groups]
+        except ValueError:
             pass
         else:
-            picked = [table[:, cols] for cols in groups]
             if all(np.isfinite(part).all() for part in picked):
                 return picked
     return [

@@ -10,7 +10,6 @@ transport cost and decreases monotonically as ``eps`` shrinks.
 from __future__ import annotations
 
 import numpy as np
-from scipy.special import logsumexp
 
 from .exceptions import SinkhornConvergenceError
 from .measures import CostSpec, DiscreteMeasure, TransportPlan, cost_matrix
@@ -19,6 +18,26 @@ __all__ = ["sinkhorn_discrepancy", "sinkhorn_divergence"]
 
 DEFAULT_TOL = 1e-9
 DEFAULT_MAX_ITER = 10_000
+
+
+def logsumexp(a: np.ndarray, axis: int) -> np.ndarray:
+    """``log(sum(exp(a)))`` along ``axis``, bit for bit as scipy's ``logsumexp``.
+
+    Same steps as scipy 1.17 without its array-API dispatch, which costs
+    several times the arithmetic on a sweep-sized matrix: the maxima are
+    shifted out of the sum and counted (m), so the result is
+    ``log1p(s / m) + log(m) + max``. A slice that is all ``-inf`` gives
+    ``-inf``.
+    """
+    amax = a.max(axis, keepdims=True)
+    top = a == amax
+    m = top.sum(axis, keepdims=True)
+    with np.errstate(invalid="ignore"):  # -inf - -inf on an all -inf slice
+        shifted = np.exp(a - amax)
+    shifted[top] = 0.0
+    s = shifted.sum(axis, keepdims=True)
+    s = np.where(s == 0, s, s / m)
+    return (np.log1p(s) + np.log(m) + amax).squeeze(axis)
 
 
 def _dual_sweeps(
@@ -97,32 +116,25 @@ def _sinkhorn_potentials(
     a = np.exp(log_a)
     spread = float(cost.max() - cost.min()) if cost.size else 0.0
 
-    if symmetric:
-        f = np.zeros(cost.shape[0])
-        level = spread / 8.0
-        while level > eps * 4.0:
-            f, _, _ = _symmetric_sweeps(cost, log_a, a, level, 1e-3, 200, f)
-            level /= 4.0
-        f, violation, done = _symmetric_sweeps(cost, log_a, a, eps, tol, max_iter, f)
-        if not done:
-            raise SinkhornConvergenceError(
-                f"marginal violation {violation:.3e} after {max_iter} iterations "
-                f"(tol {tol:.1e})",
-                achieved_violation=violation,
-            )
-        return f, f.copy(), violation
+    def sweeps(level, level_tol, budget, f, g):
+        if symmetric:
+            f, violation, done = _symmetric_sweeps(cost, log_a, a, level, level_tol, budget, f)
+            return f, f, violation, done
+        return _dual_sweeps(cost, log_a, log_b, a, level, level_tol, budget, f, g)
 
     f = np.zeros(cost.shape[0])
     g = np.zeros(cost.shape[1])
     level = spread / 8.0
     while level > eps * 4.0:
-        f, g, _, _ = _dual_sweeps(cost, log_a, log_b, a, level, 1e-3, 200, f, g)
+        f, g, _, _ = sweeps(level, 1e-3, 200, f, g)
         level /= 4.0
-    f, g, violation, done = _dual_sweeps(cost, log_a, log_b, a, eps, tol, max_iter, f, g)
+    f, g, violation, done = sweeps(eps, tol, max_iter, f, g)
     if not done:
         raise SinkhornConvergenceError(
-            f"marginal violation {violation:.3e} after {max_iter} iterations (tol {tol:.1e})",
+            f"marginal violation {violation:.3e} after {max_iter} iterations "
+            f"at eps {eps:.3e} (tol {tol:.1e})",
             achieved_violation=violation,
+            eps=eps,
         )
     return f, g, violation
 

@@ -22,13 +22,15 @@ class DegenerateMarginalError(WassdepError, ValueError):
 class SinkhornConvergenceError(WassdepError, RuntimeError):
     """Scaling iterations hit max_iter before the marginal tolerance.
 
-    Carries the best marginal violation achieved so callers can decide whether
-    to retry with a looser tolerance or a larger budget.
+    Carries the best marginal violation achieved, and the regularization
+    ``eps`` at which it was reached, so callers can decide whether to retry
+    with a looser tolerance, a larger budget or a larger ``eps``.
     """
 
-    def __init__(self, message: str, achieved_violation: float):
+    def __init__(self, message: str, achieved_violation: float, eps: float | None = None):
         super().__init__(message)
         self.achieved_violation = achieved_violation
+        self.eps = eps
 
 
 class DataError(WassdepError, ValueError):

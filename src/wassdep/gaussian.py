@@ -9,6 +9,7 @@ it to arbitrary data measures only the dependence visible to second moments.
 
 from __future__ import annotations
 
+import math
 import warnings
 from dataclasses import dataclass
 
@@ -81,18 +82,25 @@ def i_gaussian(params: GaussianDependenceParams) -> float:
     descending marginal eigenvalues, the shorter list padded with zeros.
     """
     joint = params.joint()
+    # The ratio is scale-free, but S^(1/2) S0 S^(1/2) grows as the fourth
+    # power of the data's units and leaves the float range near 1e+-77.
+    # Dividing every block by the power of 4 nearest tr(S) is exact, and its
+    # square root is an exact power of 2, so in-range values keep every bit.
+    trace = float(np.trace(joint))
+    unit = math.ldexp(1.0, -2 * round(math.log2(trace) / 2)) if trace > 0 else 1.0
+    joint = joint * unit
+    trace *= unit
     root = _psd_sqrt(joint, "joint covariance")
-    inner = root @ params.independent() @ root
+    inner = root @ (params.independent() * unit) @ root
     kappa, _ = _psd_eigh((inner + inner.T) / 2, "kappa matrix")
 
     depth = max(params.m1, params.m2)
     lx = np.zeros(depth)
     ly = np.zeros(depth)
-    lx[: params.m1] = np.sort(np.linalg.eigvalsh(params.sigma_x))[::-1]
-    ly[: params.m2] = np.sort(np.linalg.eigvalsh(params.sigma_y))[::-1]
+    lx[: params.m1] = np.sort(np.linalg.eigvalsh(params.sigma_x * unit))[::-1]
+    ly[: params.m2] = np.sort(np.linalg.eigvalsh(params.sigma_y * unit))[::-1]
     sup_term = float(np.sum(np.sqrt(lx * lx + ly * ly)))
 
-    trace = float(np.trace(joint))
     denominator = trace - sup_term
     if denominator <= 1e-10 * trace:
         raise DegenerateMarginalError("both marginals are degenerate")

@@ -7,6 +7,7 @@ import sys
 import numpy as np
 import pytest
 
+from wassdep import cli
 from wassdep.cli import _format_csv, load_cloud, load_sample, main
 from wassdep.exceptions import DataError
 from wassdep.harness import figure1_table
@@ -167,6 +168,48 @@ def test_unrequested_columns_may_hold_anything(tmp_path):
     sample = load_sample(str(data), [0], [2])
     assert sample.xs[:, 0].tolist() == [1.0, 3.0, 4.0]
     assert sample.ys[:, 0].tolist() == [2.0, 5.0, 7.0]
+
+
+def _write_labelled(tmp_path, label_cell=lambda i: f"g{i % 3}", n=300):
+    """The same pair written with and without a text column between x and y."""
+    rng = np.random.default_rng(4)
+    x, y = rng.normal(size=(2, n))
+    plain = tmp_path / "plain.csv"
+    plain.write_text("x,y\n" + "".join(f"{a!r},{b!r}\n" for a, b in zip(x.tolist(), y.tolist())))
+    labelled = tmp_path / "labelled.csv"
+    labelled.write_text(
+        "x,label,y\n"
+        + "".join(f"{a!r},{label_cell(i)},{b!r}\n" for i, (a, b) in enumerate(zip(x.tolist(), y.tolist())))
+    )
+    return plain, labelled
+
+
+def test_text_column_elsewhere_keeps_the_one_pass_conversion(tmp_path, monkeypatch):
+    plain, labelled = _write_labelled(tmp_path)
+    want = load_sample(str(plain), [0], [1])
+
+    def per_cell(*args):
+        raise AssertionError("fell back to the per-cell parser")
+
+    monkeypatch.setattr(cli, "_parse_cell", per_cell)
+    got = load_sample(str(labelled), [0], [2])
+    assert np.array_equal(got.xs, want.xs)
+    assert np.array_equal(got.ys, want.ys)
+
+
+def test_bad_requested_cell_beside_a_text_column_is_reported(tmp_path, capsys):
+    _, labelled = _write_labelled(tmp_path)
+    lines = labelled.read_text().splitlines()
+    x, label, _ = lines[57].split(",")
+    lines[57] = ",".join([x, label, "oops"])
+    labelled.write_text("\n".join(lines) + "\n")
+    with pytest.raises(DataError, match=r"row 57, column 2: not numeric: 'oops'"):
+        load_sample(str(labelled), [0], [2])
+    code, _, err = _run(
+        capsys, ["index", "gaussian", "--file", str(labelled), "--x", "0", "--y", "2"]
+    )
+    assert code == 1
+    assert "row 57, column 2" in err
 
 
 def test_loaded_values_equal_float_of_each_cell(tmp_path):

@@ -2,6 +2,7 @@
 
 import numpy as np
 import pytest
+from scipy.special import logsumexp as scipy_logsumexp
 
 from wassdep import (
     CostSpec,
@@ -12,6 +13,7 @@ from wassdep import (
     solve_exact,
     to_measure,
 )
+from wassdep.entropic import logsumexp
 
 
 def _instance(seed, n=11, m=8, d=2):
@@ -98,6 +100,64 @@ def test_raises_with_achieved_violation_when_budget_too_small():
         sinkhorn_discrepancy(src, dst, eps=0.05, tol=1e-12, max_iter=3)
     assert err.value.achieved_violation > 0.0
     assert "violation" in str(err.value)
+
+
+@pytest.mark.parametrize("symmetric", [False, True])
+def test_convergence_error_names_eps_budget_and_tolerance(symmetric):
+    src, dst = _instance(12)
+    with pytest.raises(SinkhornConvergenceError) as err:
+        sinkhorn_discrepancy(src, src if symmetric else dst, eps=0.05, tol=1e-12, max_iter=3)
+    assert err.value.eps == 0.05
+    assert err.value.achieved_violation > 1e-12
+    message = str(err.value)
+    assert "after 3 iterations" in message
+    assert "eps 5.000e-02" in message
+    assert "tol 1.0e-12" in message
+
+
+def _lse_cases():
+    rng = np.random.default_rng(2024)
+    for shape in ((1, 9), (9, 1), (1, 1), (20, 17), (60, 48)):
+        yield rng.normal(size=shape) * 30.0
+        ties = np.round(rng.normal(size=shape), 1)
+        ties[..., 0] = ties.max()  # every row shares the global maximum
+        yield ties
+        holes = rng.normal(size=shape)
+        holes[rng.random(shape) < 0.3] = -np.inf
+        # a finite first row and column: no slice is all -inf
+        holes[:, 0] = holes[:, 0].clip(-1.0, 1.0)
+        holes[0, :] = holes[0, :].clip(-1.0, 1.0)
+        yield holes
+
+
+@pytest.mark.parametrize("axis", [0, 1])
+def test_logsumexp_matches_scipy(axis):
+    for a in _lse_cases():
+        want = scipy_logsumexp(a, axis=axis)
+        got = logsumexp(a, axis)
+        assert got.shape == want.shape
+        np.testing.assert_array_max_ulp(got, want, maxulp=2)
+
+
+@pytest.mark.parametrize("axis", [0, 1])
+def test_logsumexp_of_an_all_minus_inf_slice_is_minus_inf(axis):
+    a = np.full((3, 4), -np.inf)
+    a[1, 2] = 0.5
+    got = logsumexp(a, axis)
+    blank = np.ones(a.shape[1 - axis], dtype=bool)
+    blank[2 if axis == 0 else 1] = False
+    assert np.all(got[blank] == -np.inf)
+    assert got[~blank][0] == 0.5
+
+
+def test_sinkhorn_values_are_pinned():
+    """Values captured before the log-sum-exp moved in-module; both paths."""
+    src, dst = _instance(11)
+    plan, value = sinkhorn_discrepancy(src, dst, eps=0.3)
+    assert value == 1.1508495085778316
+    assert plan.cost == 0.8060086003488018
+    assert sinkhorn_discrepancy(src, src, eps=0.3)[1] == 0.548812654668838
+    assert sinkhorn_divergence(src, dst, eps=0.3) == 0.610446153314319
 
 
 def test_rejects_nonpositive_eps():

@@ -132,6 +132,16 @@ def test_indefinite_block_is_rejected_at_every_scale(c):
     assert "np.float64" not in str(info.value)
 
 
+@pytest.mark.parametrize("c", [1e-100, 1e-80, 1e78])
+def test_index_holds_at_units_whose_fourth_power_leaves_the_float_range(c):
+    rng = np.random.default_rng(6)
+    x = rng.normal(size=500)
+    y = 0.6 * x + 0.8 * rng.normal(size=500)
+    unit = gaussian_index_report(PairedSample(x, y)).value
+    scaled = gaussian_index_report(PairedSample(c * x, c * y)).value
+    assert scaled == pytest.approx(unit, abs=1e-12)
+
+
 def test_cli_output_does_not_depend_on_units(tmp_path, capsys):
     rng = np.random.default_rng(6)
     x = rng.normal(size=500)
