@@ -18,7 +18,6 @@ from .concordance import (
 from .conditional import (
     adapted_wasserstein,
     d_conditional,
-    d_conditional_1d,
     d_conditional_entropic,
     gaussian_conditional_index,
     i_conditional,
@@ -37,12 +36,7 @@ from .empirical import (
     to_measure,
 )
 from .entropic import sinkhorn_discrepancy, sinkhorn_divergence
-from .exact import (
-    gaussian_w2,
-    solve_exact,
-    solve_from_cost,
-    wasserstein_1d,
-)
+from .exact import solve_exact, solve_from_cost, wasserstein_1d
 from .exceptions import (
     DataError,
     DegenerateMarginalError,
@@ -53,6 +47,7 @@ from .exceptions import (
 from .gaussian import (
     GaussianDependenceParams,
     fit_gaussian_surrogate,
+    gaussian_w2,
     i_gaussian,
     i_gaussian_bivariate,
 )
@@ -123,7 +118,6 @@ __all__ = [
     "d_joint_multivariate",
     "reference_measure_variant",
     "d_conditional",
-    "d_conditional_1d",
     "i_conditional",
     "gaussian_conditional_index",
     "d_conditional_entropic",

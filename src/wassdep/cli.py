@@ -70,20 +70,16 @@ def _parse_cell(rows: list[list[str]], i: int, c: int, width: int) -> float:
 def _extract(rows: list[list[str]], width: int, *groups: list[int]) -> list[np.ndarray]:
     """One float array per group of column indices, each (rows, len(group)).
 
-    A table whose rows all have the header's width and whose requested cells
-    are finite numbers converts in one numpy pass; numpy accepts and rejects
-    the same strings as ``float()``. A text cell in a column that was not
-    requested costs a second pass over the requested columns alone. Any
-    other table goes cell by cell, group after group, so the first bad cell
-    is reported by its row and column.
+    A table whose rows all have the header's width converts in one pass: an
+    object table, then the requested columns, then ``float()`` of each of
+    their cells, so unrequested columns may hold anything. When that fails or
+    a requested cell is not finite, a cell-by-cell scan, group after group,
+    reports the first bad cell by its row and column.
     """
     if all(len(row) == width for row in rows):
+        table = np.array(rows, dtype=object)
         try:
-            table = np.array(rows, dtype=float)
-        except ValueError:
-            table = np.array(rows, dtype=object)
-        try:
-            picked = [table[:, cols].astype(float, copy=False) for cols in groups]
+            picked = [table[:, cols].astype(float) for cols in groups]
         except ValueError:
             pass
         else:

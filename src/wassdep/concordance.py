@@ -62,6 +62,18 @@ def symmetry_threshold(n: int) -> float:
     return 2.0 * 1.36 * np.sqrt(2.0 / n)
 
 
+def _screen_same_law(first: np.ndarray, second: np.ndarray, what: str, strict: bool) -> None:
+    """Warn, or raise DataError in strict mode, when the two-sample KS distance
+    between two equal-size samples exceeds :func:`symmetry_threshold`."""
+    ks = ks_2samp(first, second).statistic
+    limit = symmetry_threshold(len(first))
+    if ks > limit:
+        message = f"{what}: KS distance {ks:.3f} exceeds {limit:.3f}"
+        if strict:
+            raise DataError(message)
+        warnings.warn(message, stacklevel=3)
+
+
 def antithetic_denominator(x, a: float, strict: bool = False) -> float:
     """Distance between the antithetic coupling (x, a-x) and the diagonal.
 
@@ -76,15 +88,7 @@ def antithetic_denominator(x, a: float, strict: bool = False) -> float:
     spread = float(np.std(x))
     if spread == 0.0:
         raise DegenerateMarginalError("x is constant")
-    ks = ks_2samp(x, a - x).statistic
-    if ks > symmetry_threshold(len(x)):
-        message = (
-            f"x does not look symmetric about {a / 2}: KS distance {ks:.3f} "
-            f"exceeds {symmetry_threshold(len(x)):.3f}"
-        )
-        if strict:
-            raise DataError(message)
-        warnings.warn(message, stacklevel=2)
+    _screen_same_law(x, a - x, f"x does not look symmetric about {a / 2}", strict)
     return 2.0 * spread
 
 
@@ -125,12 +129,7 @@ def concordance_index(
         if a is None:
             raise DataError("raw mode needs the symmetry center a")
         x = sample.xs[:, 0]
-        ks = ks_2samp(x, sample.ys[:, 0]).statistic
-        if ks > symmetry_threshold(sample.n):
-            message = f"x and y differ in law: KS distance {ks:.3f}"
-            if strict:
-                raise DataError(message)
-            warnings.warn(message, stacklevel=2)
+        _screen_same_law(x, sample.ys[:, 0], "x and y differ in law", strict)
         numerator = d_to_diagonal(sample)
         denominator = antithetic_denominator(x, a, strict=strict)
         center = float(a)

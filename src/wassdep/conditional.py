@@ -36,7 +36,6 @@ from .report import IndexReport
 
 __all__ = [
     "d_conditional",
-    "d_conditional_1d",
     "i_conditional",
     "gaussian_conditional_index",
     "d_conditional_entropic",
@@ -109,19 +108,6 @@ def d_conditional(
     return _family_power(family, marginal, p) ** (1.0 / p)
 
 
-def d_conditional_1d(
-    family: ConditionalFamily,
-    marginal: DiscreteMeasure,
-    p: float = 1.0,
-    check: bool = True,
-) -> float:
-    """:func:`d_conditional` restricted to scalar y, which it already solves
-    by per-group quantile integrals."""
-    if marginal.dim != 1:
-        raise DataError("the quantile route needs one-dimensional y")
-    return d_conditional(family, marginal, p, check)
-
-
 def gaussian_conditional_index(rho: float) -> float:
     """Population conditional index of a bivariate Gaussian: 1 - sqrt(1-rho^2)."""
     if not -1.0 <= rho <= 1.0:
@@ -141,10 +127,12 @@ def i_conditional(
     ``exact`` mode groups equal x rows and divides by the with-replacement
     discrepancy of the empirical y-marginal; this preserves the functional
     equality case at finite n (Y = f(X) gives exactly 1). ``bins`` mode
-    groups x into cubes and divides by the unbiased pair statistic.
+    groups x into cubes and divides by the unbiased pair statistic. Both
+    modes reject p < 1, as every transport cost does.
     """
     if mode not in ("exact", "bins"):
         raise ValueError(f"unknown partition mode {mode!r}")
+    CostSpec(p=p)  # the one check on p: ValueError unless p >= 1
     family = partition(sample, mode, phi=phi, snap_y=snap_y)
     marginal = family.pooled_marginal() if snap_y else to_measure(sample.ys)
 

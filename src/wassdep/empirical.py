@@ -16,7 +16,7 @@ from scipy.optimize import linear_sum_assignment
 from scipy.spatial.distance import cdist
 
 from .exceptions import DataError
-from .measures import CostSpec, DiscreteMeasure, cost_matrix
+from .measures import CostSpec, DiscreteMeasure, _as_points, cost_matrix, product_measure
 
 __all__ = [
     "PairedSample",
@@ -33,17 +33,6 @@ __all__ = [
 ]
 
 
-def _as_matrix(rows, name: str) -> np.ndarray:
-    arr = np.asarray(rows, dtype=float)
-    if arr.ndim == 1:
-        arr = arr[:, None]
-    if arr.ndim != 2 or arr.shape[0] == 0:
-        raise DataError(f"{name} must be a nonempty n x d matrix")
-    if not np.all(np.isfinite(arr)):
-        raise DataError(f"{name} contains non-finite entries")
-    return arr
-
-
 @dataclass(frozen=True)
 class PairedSample:
     """n paired observations (x_i, y_i) plus the seed that produced them."""
@@ -53,8 +42,8 @@ class PairedSample:
     seed: int = 0
 
     def __post_init__(self):
-        object.__setattr__(self, "xs", _as_matrix(self.xs, "xs"))
-        object.__setattr__(self, "ys", _as_matrix(self.ys, "ys"))
+        object.__setattr__(self, "xs", _as_points(self.xs, "xs"))
+        object.__setattr__(self, "ys", _as_points(self.ys, "ys"))
         if self.xs.shape[0] != self.ys.shape[0]:
             raise DataError(
                 f"row counts differ: {self.xs.shape[0]} x-rows vs {self.ys.shape[0]} y-rows"
@@ -82,7 +71,7 @@ def to_measure(rows) -> DiscreteMeasure:
     Repeated rows stay as separate atoms; the measures module treats them as
     one logical atom of accumulated mass.
     """
-    return DiscreteMeasure(_as_matrix(rows, "rows"))
+    return DiscreteMeasure(rows)
 
 
 # ---------------------------------------------------------------------------
@@ -95,31 +84,27 @@ def gmd_ustat(rows, p: float = 1.0, spec: CostSpec | None = None) -> float:
 
     Euclidean metric by default; pass a cost specification for composite
     metrics. Closed forms cover the common cases (p=2 any dimension, p=1 in
-    one dimension); everything else goes through the pairwise matrix.
+    one dimension); everything else goes through the pairwise cost matrix.
     """
-    z = _as_matrix(rows, "rows")
-    n = z.shape[0]
+    m = DiscreteMeasure(rows)
+    z, n = m.points, m.n
     if n < 2:
         raise DataError("mean discrepancy needs at least 2 rows")
-    if spec is not None:
-        m = DiscreteMeasure(z)
-        c = cost_matrix(m, m, spec)
-        return float((c.sum() - np.trace(c)) / (n * (n - 1)))
-    if p == 2:
-        # sum_{i,j} |z_i - z_j|^2 = 2n sum|c_i|^2 - 2|sum c_i|^2 for centered c.
-        centered = z - z.mean(axis=0)
-        sq = np.einsum("ij,ij->", centered, centered)
-        drift = centered.sum(axis=0)
-        total = 2.0 * n * sq - 2.0 * float(drift @ drift)
-        return max(float(total / (n * (n - 1))), 0.0)
-    if p == 1 and z.shape[1] == 1:
-        s = np.sort(z[:, 0])
-        coeff = 2.0 * np.arange(1 - n, n, 2)
-        return float(np.dot(coeff, s) / (n * (n - 1)))
-    d = cdist(z, z)
-    if p != 1:
-        d = d ** p
-    return float((d.sum() - np.trace(d)) / (n * (n - 1)))
+    if spec is None:
+        if p == 2:
+            # sum_{i,j} |z_i - z_j|^2 = 2n sum|c_i|^2 - 2|sum c_i|^2 for centered c.
+            centered = z - z.mean(axis=0)
+            sq = np.einsum("ij,ij->", centered, centered)
+            drift = centered.sum(axis=0)
+            total = 2.0 * n * sq - 2.0 * float(drift @ drift)
+            return max(float(total / (n * (n - 1))), 0.0)
+        if p == 1 and z.shape[1] == 1:
+            s = np.sort(z[:, 0])
+            coeff = 2.0 * np.arange(1 - n, n, 2)
+            return float(np.dot(coeff, s) / (n * (n - 1)))
+        spec = CostSpec(p=p)
+    c = cost_matrix(m, m, spec)
+    return float((c.sum() - np.trace(c)) / (n * (n - 1)))
 
 
 def gmd_plugin(measure: DiscreteMeasure, p: float = 1.0) -> float:
@@ -213,8 +198,6 @@ def product_estimator(
         prod = np.hstack([sample.xs, sample.ys[sigma]])
         return to_measure(joint), to_measure(prod)
     if mode == "full":
-        from .measures import product_measure
-
         joint = to_measure(sample.joint_rows())
         prod = product_measure(to_measure(sample.xs), to_measure(sample.ys))
         return joint, prod
@@ -261,8 +244,8 @@ def multivariate_ranks(points, grid) -> np.ndarray:
     squared-Euclidean cost; in one dimension with a sorted grid it reduces to
     the ordinary rank order.
     """
-    pts = _as_matrix(points, "points")
-    g = _as_matrix(grid, "grid")
+    pts = _as_points(points, "points")
+    g = _as_points(grid, "grid")
     if pts.shape != g.shape:
         raise DataError("points and grid must have identical shapes")
     rows, cols = linear_sum_assignment(cdist(pts, g, "sqeuclidean"))

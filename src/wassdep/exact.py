@@ -1,4 +1,4 @@
-"""Exact discrete optimal transport and closed-form Wasserstein distances.
+"""Exact discrete optimal transport and the one-dimensional closed form.
 
 The exact solver treats the two standard regimes separately: equal-size
 uniform instances reduce to a linear assignment problem (an optimal vertex of
@@ -13,14 +13,13 @@ import numpy as np
 from scipy import sparse
 from scipy.optimize import linear_sum_assignment, linprog
 
-from .exceptions import DataError, ExactSolverError
+from .exceptions import ExactSolverError
 from .measures import CostSpec, DiscreteMeasure, TransportPlan, cost_matrix
 
 __all__ = [
     "solve_exact",
     "solve_from_cost",
     "wasserstein_1d",
-    "gaussian_w2",
 ]
 
 
@@ -116,61 +115,3 @@ def wasserstein_1d(src: DiscreteMeasure, dst: DiscreteMeasure, p: float = 1.0) -
         raise ValueError("order p must be >= 1")
     cost = _quantile_cost(src.points[:, 0], src.weights, dst.points[:, 0], dst.weights, p)
     return cost ** (1.0 / p)
-
-
-# ---------------------------------------------------------------------------
-# Gaussian closed form
-# ---------------------------------------------------------------------------
-
-# A covariance whose smallest eigenvalue dips below -RELATIVE_PSD_TOL * ||S||
-# is treated as genuinely indefinite instead of silently clamped.
-RELATIVE_PSD_TOL = 1e-8
-
-
-def _psd_eigh(mat, what: str) -> tuple[np.ndarray, np.ndarray]:
-    """Eigenvalues (clamped at zero) and eigenvectors of a symmetric PSD matrix.
-
-    Both checks are relative to the matrix's own scale, so a covariance is
-    accepted or rejected alike in any units: an asymmetry beyond
-    RELATIVE_PSD_TOL * max|S_ij|, or an eigenvalue below
-    -RELATIVE_PSD_TOL * max|lambda|, raises DataError.
-    """
-    mat = np.atleast_2d(np.asarray(mat, dtype=float))
-    if mat.ndim != 2 or mat.shape[0] != mat.shape[1]:
-        raise DataError(f"{what} must be a square matrix")
-    if np.abs(mat - mat.T).max() > RELATIVE_PSD_TOL * np.abs(mat).max():
-        raise DataError(f"{what} is not symmetric")
-    vals, vecs = np.linalg.eigh((mat + mat.T) / 2)
-    bound = RELATIVE_PSD_TOL * float(np.abs(vals).max())
-    if vals.min() < -bound:
-        raise DataError(
-            f"{what} is not positive semidefinite: eigenvalue {vals.min():.6g} below {-bound:.6g}"
-        )
-    return np.clip(vals, 0.0, None), vecs
-
-
-def _psd_sqrt(mat, what: str) -> np.ndarray:
-    vals, vecs = _psd_eigh(mat, what)
-    return (vecs * np.sqrt(vals)) @ vecs.T
-
-
-def gaussian_w2(mean1, cov1, mean2, cov2) -> float:
-    """Order-2 Wasserstein distance between two Gaussian laws.
-
-    sqrt(||a1-a2||^2 + tr(S1 + S2 - 2 (S1^{1/2} S2 S1^{1/2})^{1/2})), with
-    matrix square roots taken through symmetric eigendecompositions. Negative
-    eigenvalues within 1e-8 of the spectral scale are clamped to zero; beyond
-    that the input is rejected as indefinite.
-    """
-    a1 = np.atleast_1d(np.asarray(mean1, dtype=float))
-    a2 = np.atleast_1d(np.asarray(mean2, dtype=float))
-    s1 = np.atleast_2d(np.asarray(cov1, dtype=float))
-    s2 = np.atleast_2d(np.asarray(cov2, dtype=float))
-    if a1.shape != a2.shape or s1.shape != s2.shape or s1.shape[0] != a1.shape[0]:
-        raise ValueError("mean/covariance shapes disagree")
-    root1 = _psd_sqrt(s1, "first covariance")
-    inner = root1 @ s2 @ root1
-    cross = _psd_sqrt((inner + inner.T) / 2, "cross term")
-    trace_term = float(np.trace(s1) + np.trace(s2) - 2.0 * np.trace(cross))
-    squared = float(np.sum((a1 - a2) ** 2)) + trace_term
-    return float(np.sqrt(max(squared, 0.0)))

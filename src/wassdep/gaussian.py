@@ -1,6 +1,7 @@
-"""Dependence index for Gaussian vectors, and the surrogate fit for data.
+"""Gaussian closed forms: the order-2 distance, the dependence index, the surrogate fit.
 
-For a centered Gaussian pair the transport distance to the independent
+Both closed forms rest on one scale-relative PSD check and one matrix root
+trace. For a centered Gaussian pair the transport distance to the independent
 version, and its supremum over covariance-constrained couplings, reduce to
 eigenvalue expressions of the covariance blocks. The resulting ratio is an
 index in [0,1] that is exactly 0 when the cross-covariance vanishes. Fitting
@@ -16,17 +17,74 @@ from dataclasses import dataclass
 import numpy as np
 
 from .empirical import PairedSample
-from .exact import _psd_eigh, _psd_sqrt
 from .exceptions import DataError, DegenerateMarginalError
 from .report import IndexReport
 
 __all__ = [
+    "gaussian_w2",
     "GaussianDependenceParams",
     "i_gaussian",
     "i_gaussian_bivariate",
     "fit_gaussian_surrogate",
     "gaussian_index_report",
 ]
+
+# A covariance whose smallest eigenvalue dips below -RELATIVE_PSD_TOL * ||S||
+# is treated as genuinely indefinite instead of silently clamped.
+RELATIVE_PSD_TOL = 1e-8
+
+
+def _psd_eigh(mat, what: str) -> tuple[np.ndarray, np.ndarray]:
+    """Eigenvalues (clamped at zero) and eigenvectors of a symmetric PSD matrix.
+
+    Both checks are relative to the matrix's own scale, so a covariance is
+    accepted or rejected alike in any units: an asymmetry beyond
+    RELATIVE_PSD_TOL * max|S_ij|, or an eigenvalue below
+    -RELATIVE_PSD_TOL * max|lambda|, raises DataError.
+    """
+    mat = np.atleast_2d(np.asarray(mat, dtype=float))
+    if mat.ndim != 2 or mat.shape[0] != mat.shape[1]:
+        raise DataError(f"{what} must be a square matrix")
+    if np.abs(mat - mat.T).max() > RELATIVE_PSD_TOL * np.abs(mat).max():
+        raise DataError(f"{what} is not symmetric")
+    vals, vecs = np.linalg.eigh((mat + mat.T) / 2)
+    bound = RELATIVE_PSD_TOL * float(np.abs(vals).max())
+    if vals.min() < -bound:
+        raise DataError(
+            f"{what} is not positive semidefinite: eigenvalue {vals.min():.6g} below {-bound:.6g}"
+        )
+    return np.clip(vals, 0.0, None), vecs
+
+
+def _root_trace(s1: np.ndarray, s2: np.ndarray, what: str) -> float:
+    """tr((S1^(1/2) S2 S1^(1/2))^(1/2)), the sum of the square roots of its eigenvalues.
+
+    ``what`` names S1 in the PSD check's messages; the product is the "cross term".
+    """
+    vals, vecs = _psd_eigh(s1, what)
+    root = (vecs * np.sqrt(vals)) @ vecs.T
+    inner = root @ s2 @ root
+    kappa, _ = _psd_eigh((inner + inner.T) / 2, "cross term")
+    return float(np.sqrt(kappa).sum())
+
+
+def gaussian_w2(mean1, cov1, mean2, cov2) -> float:
+    """Order-2 Wasserstein distance between two Gaussian laws.
+
+    sqrt(||a1-a2||^2 + tr(S1 + S2 - 2 (S1^{1/2} S2 S1^{1/2})^{1/2})), with
+    matrix square roots taken through symmetric eigendecompositions. Negative
+    eigenvalues within 1e-8 of the spectral scale are clamped to zero; beyond
+    that the input is rejected as indefinite.
+    """
+    a1 = np.atleast_1d(np.asarray(mean1, dtype=float))
+    a2 = np.atleast_1d(np.asarray(mean2, dtype=float))
+    s1 = np.atleast_2d(np.asarray(cov1, dtype=float))
+    s2 = np.atleast_2d(np.asarray(cov2, dtype=float))
+    if a1.shape != a2.shape or s1.shape != s2.shape or s1.shape[0] != a1.shape[0]:
+        raise ValueError("mean/covariance shapes disagree")
+    trace_term = float(np.trace(s1) + np.trace(s2) - 2.0 * _root_trace(s1, s2, "first covariance"))
+    squared = float(np.sum((a1 - a2) ** 2)) + trace_term
+    return float(np.sqrt(max(squared, 0.0)))
 
 
 @dataclass(frozen=True)
@@ -90,9 +148,7 @@ def i_gaussian(params: GaussianDependenceParams) -> float:
     unit = math.ldexp(1.0, -2 * round(math.log2(trace) / 2)) if trace > 0 else 1.0
     joint = joint * unit
     trace *= unit
-    root = _psd_sqrt(joint, "joint covariance")
-    inner = root @ (params.independent() * unit) @ root
-    kappa, _ = _psd_eigh((inner + inner.T) / 2, "kappa matrix")
+    root_trace = _root_trace(joint, params.independent() * unit, "joint covariance")
 
     depth = max(params.m1, params.m2)
     lx = np.zeros(depth)
@@ -104,7 +160,7 @@ def i_gaussian(params: GaussianDependenceParams) -> float:
     denominator = trace - sup_term
     if denominator <= 1e-10 * trace:
         raise DegenerateMarginalError("both marginals are degenerate")
-    value = (trace - float(np.sqrt(kappa).sum())) / denominator
+    value = (trace - root_trace) / denominator
     if value > 1.0 + 1e-9 or value < -1e-9:
         raise DataError(f"index {value!r} escaped [0, 1]; input is ill-conditioned")
     return float(min(max(value, 0.0), 1.0))

@@ -14,9 +14,9 @@ import numpy as np
 
 from .exact import solve_exact
 from .exceptions import DataError, DegenerateMarginalError
-from .empirical import PairedSample, gmd_ustat, product_estimator, to_measure
+from .empirical import PairedSample, _derangement, gmd_ustat, product_estimator, to_measure
 from .entropic import sinkhorn_divergence
-from .measures import CostSpec, DiscreteMeasure, product_measure
+from .measures import CostSpec, DiscreteMeasure, _as_points, product_measure
 from .report import IndexReport
 
 __all__ = [
@@ -60,52 +60,42 @@ def i_joint(
     requires an additive cost combinator -- the sum form (q = 1) or the
     weighted sum form -- for the bound to hold. ``scaled_metric`` instead
     rescales each factor metric by its own mean discrepancy, making the
-    distance self-normalized with denominator 1.
+    distance self-normalized with denominator 1; it builds that cost itself,
+    so it rejects ``spec``, ``alpha`` and any ``q`` other than 1.
 
     The raw ratio is reported even when sampling noise pushes it above 1;
     the report carries an exceedance flag instead of clipping.
     """
     if rng is None:
         rng = np.random.default_rng(sample.seed)
-    if variant not in ("min_gmd", "scaled_metric"):
-        raise ValueError(f"unknown variant {variant!r}")
-
     if variant == "scaled_metric":
-        gmd_x = gmd_ustat(sample.xs, p)
-        gmd_y = gmd_ustat(sample.ys, p)
-        if min(gmd_x, gmd_y) <= 0.0:
-            raise DegenerateMarginalError("a marginal is empirically constant")
-        scale_x = gmd_x ** (1.0 / p)
-        scale_y = gmd_y ** (1.0 / p)
-        used = CostSpec(
-            p=p,
-            combinator="scaled",
-            scales=(scale_x, scale_y),
-            factor_dims=(sample.dx, sample.dy),
-        )
-        joint, product = product_estimator(sample, estimator, rng)
-        numerator = d_joint(joint, product, used)
-        denominator = 1.0
-        q_used: float | None = None
-        alpha_used = None
-    else:
+        for name, given in (("spec", spec is not None), ("q", q != 1.0), ("alpha", alpha is not None)):
+            if given:
+                raise ValueError(f"the scaled_metric variant builds its own cost and takes no {name}")
+    elif variant == "min_gmd":
         used = spec if spec is not None else _pair_spec(sample, p, q, alpha)
         if used.combinator == "lq" and used.q != 1:
             raise ValueError("min_gmd normalization needs the additive cost (q = 1)")
         if used.combinator not in ("lq", "alpha"):
             raise ValueError("min_gmd normalization needs an additive cost combinator")
         p = used.p
-        gmd_x = gmd_ustat(sample.xs, p)
-        gmd_y = gmd_ustat(sample.ys, p)
-        if used.combinator == "alpha":
-            gmd_x = used.alpha ** p * gmd_x
-        if min(gmd_x, gmd_y) <= 0.0:
-            raise DegenerateMarginalError("a marginal is empirically constant")
-        joint, product = product_estimator(sample, estimator, rng)
-        numerator = d_joint(joint, product, used)
+    else:
+        raise ValueError(f"unknown variant {variant!r}")
+
+    gmd_x = gmd_ustat(sample.xs, p)
+    gmd_y = gmd_ustat(sample.ys, p)
+    if variant == "min_gmd" and used.combinator == "alpha":
+        gmd_x = used.alpha ** p * gmd_x
+    if min(gmd_x, gmd_y) <= 0.0:
+        raise DegenerateMarginalError("a marginal is empirically constant")
+    if variant == "scaled_metric":
+        scales = (gmd_x ** (1.0 / p), gmd_y ** (1.0 / p))
+        used = CostSpec(p=p, combinator="scaled", scales=scales, factor_dims=(sample.dx, sample.dy))
+        denominator = 1.0
+    else:
         denominator = min(gmd_x, gmd_y) ** (1.0 / p)
-        q_used = used.q if used.combinator == "lq" else None
-        alpha_used = used.alpha if used.combinator == "alpha" else None
+    joint, product = product_estimator(sample, estimator, rng)
+    numerator = d_joint(joint, product, used)
 
     value = numerator / denominator
     return IndexReport(
@@ -114,8 +104,8 @@ def i_joint(
         numerator=numerator,
         denominator=denominator,
         p=p,
-        q=q_used,
-        alpha=alpha_used,
+        q=used.q if used.combinator == "lq" else None,
+        alpha=used.alpha if used.combinator == "alpha" else None,
         estimator=estimator,
         variant=variant,
         n=sample.n,
@@ -206,15 +196,12 @@ def d_joint_multivariate(
     """
     if len(blocks) < 2:
         raise DataError("need at least 2 blocks")
-    mats = [np.asarray(b, dtype=float) for b in blocks]
-    mats = [m[:, None] if m.ndim == 1 else m for m in mats]
+    mats = [_as_points(b, "block") for b in blocks]
     n = mats[0].shape[0]
     if any(m.shape[0] != n for m in mats):
         raise DataError("blocks must have equal row counts")
     if rng is None:
         rng = np.random.default_rng(0)
-    from .empirical import _derangement
-
     permuted = [mats[0]] + [m[_derangement(n, rng)] for m in mats[1:]]
     dims = tuple(m.shape[1] for m in mats)
     if spec is None:
@@ -241,8 +228,7 @@ def reference_measure_variant(
     if ref_x.dim != sample.dx or ref_y.dim != sample.dy:
         raise DataError("reference dimensions do not match the sample")
     reference = product_measure(ref_x, ref_y)
-    joint = to_measure(sample.joint_rows())
-    product = product_measure(to_measure(sample.xs), to_measure(sample.ys))
+    joint, product = product_estimator(sample, "full")
     w2_joint = solve_exact(joint, reference, spec).cost
     w2_product = solve_exact(product, reference, spec).cost
     return float(w2_joint - w2_product)

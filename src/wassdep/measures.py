@@ -8,12 +8,15 @@ transport order ``p``. :func:`cost_matrix` realizes the pairwise ``d^p`` costs.
 
 from __future__ import annotations
 
+import os
 from dataclasses import dataclass, field
 from functools import cached_property
 from typing import Sequence
 
 import numpy as np
 from scipy.spatial.distance import cdist
+
+from .exceptions import DataError
 
 __all__ = [
     "DiscreteMeasure",
@@ -32,14 +35,27 @@ WEIGHT_TOL = 1e-9
 _COMBINATORS = ("single", "lq", "alpha", "scaled")
 
 
-def _as_points(points) -> np.ndarray:
+# Bytes of physical memory. A dense cost matrix larger than this cannot be
+# held, so cost_matrix refuses it before cdist asks for it.
+try:
+    PHYSICAL_MEMORY: int | None = os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
+except (AttributeError, ValueError, OSError):  # the platform does not report it
+    PHYSICAL_MEMORY = None
+
+
+def _as_points(points, name: str = "points") -> np.ndarray:
+    """The rows as a finite, nonempty (n, d) float array; a vector is one column.
+
+    The one validator of every array of observations or atoms; it raises
+    DataError naming the array.
+    """
     pts = np.asarray(points, dtype=float)
     if pts.ndim == 1:
         pts = pts[:, None]
     if pts.ndim != 2 or pts.shape[0] == 0 or pts.shape[1] == 0:
-        raise ValueError("points must form a nonempty (n, d) array")
+        raise DataError(f"{name} must form a nonempty (n, d) array")
     if not np.all(np.isfinite(pts)):
-        raise ValueError("points must be finite")
+        raise DataError(f"{name} must be finite")
     return pts
 
 
@@ -92,9 +108,6 @@ class DiscreteMeasure:
     def dirac(cls, point) -> "DiscreteMeasure":
         pt = np.atleast_1d(np.asarray(point, dtype=float))
         return cls(pt[None, :], np.array([1.0]))
-
-    def is_uniform(self) -> bool:
-        return bool(np.all(self.weights == self.weights[0]))
 
     @cached_property
     def sorted_first_coordinate(self) -> tuple[np.ndarray, np.ndarray]:
@@ -185,10 +198,17 @@ def cost_matrix(src: DiscreteMeasure, dst: DiscreteMeasure, spec: CostSpec) -> n
     """Pairwise ``d(x_i, y_j) ** p`` under the given cost spec.
 
     Raises ValueError when the ambient dimensions disagree with each other or
-    with the spec's factor structure.
+    with the spec's factor structure, and DataError when the matrix's bytes
+    exceed the machine's physical memory.
     """
     if src.dim != dst.dim:
         raise ValueError(f"dimension mismatch: {src.dim} vs {dst.dim}")
+    nbytes = src.n * dst.n * 8
+    if PHYSICAL_MEMORY is not None and nbytes > PHYSICAL_MEMORY:
+        raise DataError(
+            f"a {src.n} x {dst.n} cost matrix needs {nbytes} bytes, "
+            f"more than the {PHYSICAL_MEMORY} bytes of physical memory"
+        )
     if spec.combinator == "single":
         dist = cdist(src.points, dst.points)
     else:
@@ -247,7 +267,7 @@ class TwoStageDiscreteLaw:
     conditionals: tuple[DiscreteMeasure, ...] = field(default=())
 
     def __post_init__(self):
-        pts = _as_points(self.x_points)
+        pts = _as_points(self.x_points, "x_points")
         w = _as_weights(self.x_weights, pts.shape[0])
         conds = tuple(self.conditionals)
         if len(conds) != pts.shape[0]:

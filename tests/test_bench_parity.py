@@ -1,0 +1,52 @@
+"""The benchmark's own output check, run in-process on each workload at seed 0.
+
+perfbench/run.py accepts a call only when it exits 0, prints the same stdout
+as the untimed call before it, and matches perfbench/reference.json within
+1e-10. This applies the same check through perfbench's own ``Workload`` so a
+change that would fail the benchmark fails here first.
+"""
+
+import contextlib
+import importlib.util
+import io
+import json
+import sys
+from pathlib import Path
+
+import pytest
+
+from wassdep.cli import main
+
+PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
+
+
+def _load_workloads():
+    spec = importlib.util.spec_from_file_location("perfbench_workloads", PERFBENCH / "workloads.py")
+    module = importlib.util.module_from_spec(spec)
+    sys.modules[spec.name] = module  # dataclasses look their module up here
+    spec.loader.exec_module(module)
+    return module.WORKLOADS
+
+
+WORKLOADS = _load_workloads()
+SEED = 0
+
+
+def _call(argv):
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(io.StringIO()):
+        rc = main(argv)
+    return rc, out.getvalue()
+
+
+@pytest.mark.parametrize("name", list(WORKLOADS))
+def test_workload_output_passes_the_benchmark_check(name, tmp_path):
+    workload = WORKLOADS[name]
+    with open(PERFBENCH / "reference.json") as fh:
+        references = json.load(fh)[name][str(SEED)]
+    argvs = workload.write_inputs(str(tmp_path), SEED)
+    assert len(argvs) == len(references)
+    for argv, reference in zip(argvs, references):
+        first, second = _call(argv), _call(argv)
+        assert first == second
+        assert workload.check(*first, reference) is None

@@ -335,3 +335,25 @@ def test_module_execution_smoke():
     )
     assert proc.returncode == 0
     assert "wassdep" in proc.stdout
+
+
+def test_scaled_metric_rejects_q_and_alpha(tmp_path, capsys):
+    data = _write_pair(tmp_path / "pair.csv", n=300)
+    base = ["index", "joint", "--file", str(data), "--x", "0", "--y", "1", "--variant", "scaled_metric"]
+    code, out, _ = _run(capsys, base)
+    assert code == 0 and json.loads(out)["variant"] == "scaled_metric"
+    for extra, name in [(["--q", "3", "--alpha", "2"], "q"), (["--alpha", "2"], "alpha")]:
+        code, out, err = _run(capsys, base + extra)
+        assert (code, out) == (1, "")
+        assert f"takes no {name}" in err
+
+
+def test_cost_matrix_beyond_memory_exits_1(tmp_path, capsys, monkeypatch):
+    from wassdep import measures
+
+    data = _write_pair(tmp_path / "pair.csv", n=100)
+    monkeypatch.setattr(measures, "PHYSICAL_MEMORY", 100 * 100 * 8 - 1)
+    argv = ["index", "conditional", "--file", str(data), "--x", "0", "--y", "1", "--p", "3"]
+    code, out, err = _run(capsys, argv)
+    assert (code, out) == (1, "")
+    assert "100 x 100 cost matrix needs 80000 bytes" in err

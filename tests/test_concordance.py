@@ -141,3 +141,13 @@ def test_copula_mode_matches_kendall_direction_on_clayton_like_data():
     tau = kendalltau(x, y).statistic
     value = concordance_index(PairedSample(x, y, seed=0)).value
     assert np.sign(value) == np.sign(tau)
+
+
+def test_raw_mode_screens_equal_laws_like_the_symmetry_screen():
+    rng = np.random.default_rng(9)
+    x = rng.normal(size=400)
+    sample = PairedSample(x, rng.normal(loc=1.0, size=400), seed=0)
+    with pytest.warns(UserWarning, match="differ in law: KS distance .* exceeds"):
+        concordance_index(sample, a=0.0, mode="raw")
+    with pytest.raises(DataError, match="differ in law"):
+        concordance_index(sample, a=0.0, mode="raw", strict=True)

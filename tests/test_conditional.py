@@ -7,7 +7,6 @@ from wassdep.conditional import (
     _transport_power,
     adapted_wasserstein,
     d_conditional,
-    d_conditional_1d,
     d_conditional_entropic,
     gaussian_conditional_index,
     i_conditional,
@@ -89,12 +88,18 @@ def test_binned_mode_is_small_under_independence():
     assert report.to_dict()["bins"] >= 1
 
 
+def _solver_d_conditional(family, marginal, p):
+    """d_conditional with every group's cost from the exact solver."""
+    costs = [solve_exact(law, marginal, CostSpec(p=p)).cost for law in family.laws]
+    return float(np.dot(family.group_weights, costs)) ** (1.0 / p)
+
+
 def test_quantile_route_matches_the_solver_route():
     family = partition(_tied_sample(), "exact")
     marginal = to_measure(_tied_sample().ys)
     for p in (1.0, 2.0, 3.0):
         a = d_conditional(family, marginal, p=p)
-        b = d_conditional_1d(family, marginal, p=p)
+        b = _solver_d_conditional(family, marginal, p)
         assert a == pytest.approx(b, abs=1e-12)
 
 
@@ -152,16 +157,8 @@ def test_quantile_route_matches_the_solver_route_on_weighted_laws(p):
     )
     marginal = weighted.pooled_marginal()
     a = d_conditional(weighted, marginal, p=p)
-    b = d_conditional_1d(weighted, marginal, p=p)
-    assert b == pytest.approx(a, abs=1e-9)
-
-
-def test_quantile_route_needs_scalar_y():
-    rng = np.random.default_rng(3)
-    sample = PairedSample(np.repeat([0.0, 1.0], 4), rng.normal(size=(8, 2)), seed=0)
-    family = partition(sample, "exact")
-    with pytest.raises(DataError):
-        d_conditional_1d(family, family.pooled_marginal())
+    b = _solver_d_conditional(weighted, marginal, p)
+    assert a == pytest.approx(b, abs=1e-9)
 
 
 def test_entropic_average_sits_above_exact_and_grows_with_eps():
@@ -209,9 +206,7 @@ def test_partition_mode_is_validated():
         i_conditional(_tied_sample(), mode="kmeans")
 
 
-# The route selector against the solver. For scalar y d_conditional and
-# d_conditional_1d take the same quantile route, so comparing the two checks
-# that route only against itself; these compare every route with solve_exact.
+# The route selector against the solver, law by law and in both directions.
 
 
 @pytest.mark.parametrize("p", [1.0, 2.0, 3.0])
@@ -265,3 +260,9 @@ def test_nested_distance_matches_solver_inner_costs(p):
     _, total = solve_from_cost(outer + inner, law1.x_weights, law2.x_weights)
     want = total ** (1.0 / p)
     assert adapted_wasserstein(law1, law2, CostSpec(p=p)) == pytest.approx(want, abs=1e-9)
+
+
+@pytest.mark.parametrize("mode", ["bins", "exact"])
+def test_order_below_one_is_rejected_in_both_modes(mode):
+    with pytest.raises(ValueError, match="p must be"):
+        i_conditional(_tied_sample(), mode=mode, p=0.5)

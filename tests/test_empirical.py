@@ -246,3 +246,35 @@ def test_partition_mode_validation():
         partition(sample, "nope")
     with pytest.raises(DataError):
         partition(sample, "bins", phi=0)
+
+
+def test_every_array_is_checked_by_one_validator_that_names_it():
+    from wassdep.joint import d_joint_multivariate
+    from wassdep.measures import DiscreteMeasure
+
+    bad = np.array([0.0, np.inf, 1.0])
+    for call, name in [
+        (lambda: PairedSample(bad, [0.0, 1.0, 2.0]), "xs"),
+        (lambda: PairedSample([0.0, 1.0, 2.0], np.empty((3, 0))), "ys"),
+        (lambda: to_measure(bad), "points"),
+        (lambda: DiscreteMeasure(np.empty((0, 2))), "points"),
+        (lambda: gmd_ustat(bad), "points"),
+        (lambda: multivariate_ranks([0.0, 1.0, 2.0], bad), "grid"),
+        (lambda: d_joint_multivariate([[0.0, 1.0, 2.0], bad]), "block"),
+    ]:
+        with pytest.raises(DataError, match=name):
+            call()
+
+
+def test_gmd_pairwise_route_is_the_cost_matrix(monkeypatch):
+    import wassdep.empirical as empirical
+
+    z = np.random.default_rng(3).normal(size=(30, 2))
+    calls = []
+    real = empirical.cost_matrix
+    monkeypatch.setattr(empirical, "cost_matrix", lambda *a: calls.append(1) or real(*a))
+    assert gmd_ustat(z, p=3.0) == gmd_ustat(z, spec=CostSpec(p=3.0))
+    assert gmd_ustat(z[:, :1], p=1.5) == gmd_ustat(z[:, :1], spec=CostSpec(p=1.5))
+    assert len(calls) == 4
+    with pytest.raises(ValueError, match="p must be"):
+        gmd_ustat(z, p=0.5)

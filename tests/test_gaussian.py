@@ -12,6 +12,7 @@ from wassdep.gaussian import (
     GaussianDependenceParams,
     fit_gaussian_surrogate,
     gaussian_index_report,
+    gaussian_w2,
     i_gaussian,
     i_gaussian_bivariate,
 )
@@ -155,3 +156,19 @@ def test_cli_output_does_not_depend_on_units(tmp_path, capsys):
         outputs.append(capsys.readouterr().out)
     assert outputs[0] == outputs[1]
     assert '"value": 0.177333014222' in outputs[0]
+
+
+def test_index_numerator_is_half_the_squared_gaussian_w2():
+    rng = np.random.default_rng(17)
+    for m1, m2 in [(1, 1), (2, 3), (3, 2)]:
+        a = rng.normal(size=(m1 + m2 + 4, m1 + m2))
+        joint = a.T @ a
+        params = GaussianDependenceParams(joint[:m1, :m1], joint[m1:, m1:], joint[:m1, m1:])
+        lx = np.sort(np.linalg.eigvalsh(params.sigma_x))[::-1]
+        ly = np.sort(np.linalg.eigvalsh(params.sigma_y))[::-1]
+        depth = max(m1, m2)
+        lx, ly = np.pad(lx, (0, depth - m1)), np.pad(ly, (0, depth - m2))
+        denominator = np.trace(joint) - np.sum(np.sqrt(lx * lx + ly * ly))
+        zero = np.zeros(m1 + m2)
+        half_w2 = gaussian_w2(zero, params.joint(), zero, params.independent()) ** 2 / 2
+        assert i_gaussian(params) * denominator == pytest.approx(half_w2, rel=1e-10)

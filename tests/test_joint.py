@@ -181,3 +181,13 @@ def test_reference_variant_sign_pattern():
     bad_ref = to_measure(np.zeros((3, 2)))
     with pytest.raises(DataError):
         reference_measure_variant(como, bad_ref, ref)
+
+
+def test_scaled_metric_rejects_the_options_it_would_ignore():
+    rng = np.random.default_rng(6)
+    x = rng.normal(size=40)
+    sample = PairedSample(x, x + rng.normal(size=40), seed=6)
+    for option, value in [("q", 3.0), ("alpha", 2.0), ("spec", CostSpec(p=1.0))]:
+        with pytest.raises(ValueError, match=rf"takes no {option}"):
+            i_joint(sample, variant="scaled_metric", **{option: value})
+    assert i_joint(sample, variant="scaled_metric", q=1.0).denominator == 1.0

@@ -3,7 +3,8 @@
 import numpy as np
 import pytest
 
-from wassdep import CostSpec, DiscreteMeasure, cost_matrix, mixture, product_measure
+from wassdep import CostSpec, DataError, DiscreteMeasure, cost_matrix, mixture, product_measure
+from wassdep import measures
 from wassdep.measures import TwoStageDiscreteLaw
 
 
@@ -11,7 +12,6 @@ def test_uniform_weights_by_default():
     m = DiscreteMeasure(np.arange(5.0))
     assert m.points.shape == (5, 1)
     assert np.allclose(m.weights, 0.2)
-    assert m.is_uniform()
 
 
 def test_weights_renormalized_within_tolerance():
@@ -162,3 +162,12 @@ def test_two_stage_law_validation():
             np.array([0.5, 0.5]),
             (cond, DiscreteMeasure(np.zeros((1, 2)))),
         )
+
+
+def test_cost_matrix_beyond_physical_memory_is_refused(monkeypatch):
+    m = DiscreteMeasure(np.random.default_rng(0).normal(size=(100, 2)))
+    monkeypatch.setattr(measures, "PHYSICAL_MEMORY", 100 * 100 * 8)
+    assert cost_matrix(m, m, CostSpec()).shape == (100, 100)
+    monkeypatch.setattr(measures, "PHYSICAL_MEMORY", 100 * 100 * 8 - 1)
+    with pytest.raises(DataError, match=r"100 x 100 cost matrix needs 80000 bytes"):
+        cost_matrix(m, m, CostSpec(p=2.0))
