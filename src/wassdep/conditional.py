@@ -26,6 +26,7 @@ from .empirical import (
     gmd_plugin,
     gmd_ustat,
     partition,
+    row_groups,
     to_measure,
 )
 from .entropic import sinkhorn_discrepancy
@@ -46,13 +47,8 @@ __all__ = [
 
 def _aggregate_atoms(points: np.ndarray, weights: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Merge exactly-equal rows, summing their weights; rows lexsorted."""
-    order = np.lexsort(points.T[::-1])
-    pts = points[order]
-    w = weights[order]
-    new_group = np.any(pts[1:] != pts[:-1], axis=1)
-    starts = np.concatenate([[0], np.nonzero(new_group)[0] + 1])
-    merged_w = np.add.reduceat(w, starts)
-    return pts[starts], merged_w
+    order, starts = row_groups(points)
+    return points[order[starts]], np.add.reduceat(weights[order], starts)
 
 
 def _check_marginal(family: ConditionalFamily, marginal: DiscreteMeasure, tol: float = 1e-9):

@@ -272,8 +272,8 @@ class ConditionalFamily:
     def __post_init__(self):
         if len(self.laws) == 0:
             raise DataError("a conditional family needs at least one group")
-        seen = np.concatenate([np.asarray(g) for g in self.groups])
-        if len(np.unique(seen)) != len(seen):
+        seen = np.sort(np.concatenate([np.asarray(g) for g in self.groups]))
+        if np.any(seen[1:] == seen[:-1]):
             raise DataError("groups overlap")
 
     @property
@@ -315,6 +315,18 @@ def _snap_to_centers(values: np.ndarray, phi: int) -> np.ndarray:
     return lo + (idx + 0.5) * width
 
 
+def row_groups(points: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Stable lexicographic order of the rows and where each run of equal rows starts.
+
+    ``points[order[starts[g]]]`` is the g-th distinct row in ascending order,
+    and each run lists its rows in their original order.
+    """
+    order = np.lexsort(points.T[::-1])
+    pts = points[order]
+    new_group = np.any(pts[1:] != pts[:-1], axis=1)
+    return order, np.concatenate([[0], np.flatnonzero(new_group) + 1])
+
+
 def partition(
     sample: PairedSample,
     mode: str = "exact",
@@ -347,19 +359,13 @@ def partition(
             raise DataError("snap_y only applies to bins mode")
         ys = _snap_to_centers(ys, phi)
 
-    uniq, inverse = np.unique(keys, axis=0, return_inverse=True)
-    inverse = inverse.reshape(-1)
-    order = np.argsort(inverse, kind="stable")
-    boundaries = np.searchsorted(inverse[order], np.arange(len(uniq) + 1))
-    groups = []
-    laws = []
-    for g in range(len(uniq)):
-        idx = order[boundaries[g] : boundaries[g + 1]]
-        groups.append(idx)
-        laws.append(to_measure(ys[idx]))
-    weights = np.array([len(g) for g in groups], dtype=float) / n
+    order, starts = row_groups(keys)
+    bounds = np.append(starts, n)
+    groups = [order[a:b] for a, b in zip(bounds[:-1], bounds[1:])]
+    laws = [to_measure(ys[idx]) for idx in groups]
+    weights = np.diff(bounds).astype(float) / n
     return ConditionalFamily(
-        representatives=uniq,
+        representatives=keys[order[starts]],
         laws=tuple(laws),
         groups=tuple(groups),
         group_weights=weights,

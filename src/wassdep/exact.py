@@ -83,24 +83,47 @@ def solve_exact(src: DiscreteMeasure, dst: DiscreteMeasure, spec: CostSpec) -> T
 # ---------------------------------------------------------------------------
 
 
+def _sorted_law(v: np.ndarray, w: np.ndarray) -> tuple[np.ndarray, np.ndarray, int, int]:
+    """Atoms in stable ascending order, their cumulative weights, and the
+    slice ``[lo, hi)`` of ``cw[:-1]`` that lies strictly inside (0, 1)."""
+    order = np.argsort(v, kind="stable")
+    cw = np.cumsum(w[order])
+    lo = int(np.searchsorted(cw[:-1], 0.0, side="right"))
+    hi = int(np.searchsorted(cw[:-1], 1.0, side="left"))
+    return v[order], cw, lo, hi
+
+
 def _quantile_cost(x: np.ndarray, wx: np.ndarray, y: np.ndarray, wy: np.ndarray, p: float) -> float:
     """Integral of |Fx^{-1} - Fy^{-1}|^p over (0,1) for discrete laws.
 
     Quantiles are the right-continuous generalized inverses; tied atoms stack
     their mass. The integrand is piecewise constant between the merged
     cumulative-weight breakpoints, so the integral is an exact finite sum.
+
+    Segment t of the merge is read at its midpoint m_t, where each law's
+    quantile is its atom at ``searchsorted(cw, m_t)``, clamped to the last
+    atom. No midpoint is looked up: while m_t lies above its left edge, that
+    clamped index is the law's count of cumulative weights <= 0 plus the
+    number of its inner levels merged before t. Only a midpoint that rounds
+    onto its left edge, in a segment of zero or one ulp, is searched.
     """
-    ox = np.argsort(x, kind="stable")
-    oy = np.argsort(y, kind="stable")
-    xs, cwx = x[ox], np.cumsum(wx[ox])
-    ys, cwy = y[oy], np.cumsum(wy[oy])
-    levels = np.concatenate([cwx[:-1], cwy[:-1]])
-    levels = np.sort(levels[(levels > 0.0) & (levels < 1.0)])
-    edges = np.concatenate([[0.0], levels, [1.0]])
+    xs, cwx, x0, x1 = _sorted_law(x, wx)
+    ys, cwy, y0, y1 = _sorted_law(y, wy)
+    # Both runs of inner levels are sorted, so inserting x's into y's is
+    # their sorted merge; x's level j lands at merged position at[j].
+    pos = np.searchsorted(cwy[y0:y1], cwx[x0:x1])
+    edges = np.concatenate([[0.0], np.insert(cwy[y0:y1], pos, cwx[x0:x1]), [1.0]])
     seg = np.diff(edges)
     mids = edges[:-1] + seg / 2
-    qx = xs[np.minimum(np.searchsorted(cwx, mids, side="left"), len(xs) - 1)]
-    qy = ys[np.minimum(np.searchsorted(cwy, mids, side="left"), len(ys) - 1)]
+    at = pos + np.arange(len(pos))
+    # x's atom x0 + j holds from the segment after its level j - 1 through
+    # the one ending at its level j; y's atom y0 + i holds once more for each
+    # x level merged just before its level i.
+    qx = np.repeat(xs[x0 : x1 + 1], np.diff(at, prepend=-1, append=len(seg) - 1))
+    qy = np.insert(ys[y0 : y1 + 1], pos, ys[y0 + pos])
+    on_edge = np.flatnonzero(mids <= edges[:-1])
+    qx[on_edge] = xs[np.minimum(np.searchsorted(cwx, mids[on_edge]), len(xs) - 1)]
+    qy[on_edge] = ys[np.minimum(np.searchsorted(cwy, mids[on_edge]), len(ys) - 1)]
     gaps = np.abs(qx - qy)
     if p != 1:
         gaps = gaps ** p

@@ -82,6 +82,7 @@ def gaussian_w2(mean1, cov1, mean2, cov2) -> float:
     s2 = np.atleast_2d(np.asarray(cov2, dtype=float))
     if a1.shape != a2.shape or s1.shape != s2.shape or s1.shape[0] != a1.shape[0]:
         raise ValueError("mean/covariance shapes disagree")
+    _psd_eigh(s2, "second covariance")
     trace_term = float(np.trace(s1) + np.trace(s2) - 2.0 * _root_trace(s1, s2, "first covariance"))
     squared = float(np.sum((a1 - a2) ** 2)) + trace_term
     return float(np.sqrt(max(squared, 0.0)))

@@ -266,3 +266,16 @@ def test_nested_distance_matches_solver_inner_costs(p):
 def test_order_below_one_is_rejected_in_both_modes(mode):
     with pytest.raises(ValueError, match="p must be"):
         i_conditional(_tied_sample(), mode=mode, p=0.5)
+
+
+def test_marginal_check_compares_merged_atoms_and_their_weights():
+    rng = np.random.default_rng(4)
+    sample = PairedSample(rng.integers(0, 3, size=40).astype(float), rng.integers(0, 4, size=(40, 2)).astype(float))
+    family = partition(sample, "exact")
+    assert d_conditional(family, to_measure(sample.ys[::-1])) >= 0.0
+    atoms, counts = np.unique(sample.ys, axis=0, return_counts=True)
+    assert np.any(counts != counts[0])
+    with pytest.raises(DataError, match="weights"):
+        d_conditional(family, DiscreteMeasure(atoms, np.full(len(atoms), 1.0 / len(atoms))))
+    with pytest.raises(DataError, match="^marginal does not match"):
+        d_conditional(family, to_measure(sample.ys + 1.0))

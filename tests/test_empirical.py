@@ -5,6 +5,7 @@ import pytest
 from scipy.spatial.distance import cdist
 
 from wassdep import (
+    ConditionalFamily,
     CostSpec,
     DataError,
     PairedSample,
@@ -17,7 +18,7 @@ from wassdep import (
     product_estimator,
     to_measure,
 )
-from wassdep.empirical import dirac_transport_cost, rank_grid_values
+from wassdep.empirical import _snap_to_centers, dirac_transport_cost, rank_grid_values
 
 
 def test_paired_sample_shapes_and_errors():
@@ -278,3 +279,56 @@ def test_gmd_pairwise_route_is_the_cost_matrix(monkeypatch):
     assert len(calls) == 4
     with pytest.raises(ValueError, match="p must be"):
         gmd_ustat(z, p=0.5)
+
+
+def _unique_partition(sample, mode, phi=None, snap_y=False):
+    """The grouping as np.unique(axis=0) gives it: sorted distinct keys, each
+    group's rows in their original order."""
+    keys, ys = sample.xs, sample.ys
+    if mode == "bins":
+        phi = default_bin_count(sample.n, sample.dx) if phi is None else phi
+        keys = _snap_to_centers(sample.xs, phi)
+        if snap_y:
+            ys = _snap_to_centers(sample.ys, phi)
+    uniq, inverse = np.unique(keys, axis=0, return_inverse=True)
+    inverse = inverse.reshape(-1)
+    groups = [np.flatnonzero(inverse == g) for g in range(len(uniq))]
+    laws = [to_measure(ys[idx]) for idx in groups]
+    weights = np.array([len(g) for g in groups], dtype=float) / sample.n
+    return uniq, groups, laws, weights
+
+
+def _partition_cases():
+    rng = np.random.default_rng(17)
+    tied_x = rng.integers(0, 5, size=(300, 1)).astype(float)
+    tied_xy = rng.integers(0, 3, size=(300, 2)).astype(float)
+    yield PairedSample(tied_x, rng.normal(size=300)), "exact", None, False
+    yield PairedSample(tied_xy, rng.normal(size=(300, 2))), "exact", None, False
+    yield PairedSample(-tied_x, rng.normal(size=300)), "bins", 3, False
+    yield PairedSample(rng.normal(size=2000), rng.normal(size=2000)), "bins", None, False
+    yield PairedSample(rng.normal(size=2000), rng.normal(size=2000)), "bins", None, True
+    yield PairedSample(rng.normal(size=(2000, 2)), rng.normal(size=(2000, 2))), "bins", None, False
+    yield PairedSample(rng.normal(size=(2000, 2)), rng.normal(size=2000)), "bins", 4, True
+
+
+@pytest.mark.parametrize("case", list(_partition_cases()), ids=lambda c: f"{c[1]}-d{c[0].dx}-snap{c[3]}")
+def test_partition_groups_exactly_as_np_unique_does(case):
+    sample, mode, phi, snap_y = case
+    family = partition(sample, mode, phi=phi, snap_y=snap_y)
+    uniq, groups, laws, weights = _unique_partition(sample, mode, phi, snap_y)
+    assert np.array_equal(family.representatives, uniq)
+    assert len(family.groups) == len(groups)
+    for got, want in zip(family.groups, groups):
+        assert np.array_equal(got, want)
+    for got, want in zip(family.laws, laws):
+        assert np.array_equal(got.points, want.points)
+        assert np.array_equal(got.weights, want.weights)
+    assert np.array_equal(family.group_weights, weights)
+
+
+def test_family_rejects_groups_that_share_a_row():
+    laws = (to_measure([0.0, 1.0]), to_measure([2.0]))
+    reps = np.array([[0.0], [1.0]])
+    with pytest.raises(DataError, match="groups overlap"):
+        ConditionalFamily(reps, laws, (np.array([3, 0]), np.array([0])), np.array([2 / 3, 1 / 3]))
+    ConditionalFamily(reps, laws, (np.array([2, 0]), np.array([1])), np.array([2 / 3, 1 / 3]))

@@ -22,6 +22,7 @@ from wassdep import (
     to_measure,
     wasserstein_1d,
 )
+from wassdep.exceptions import DataError
 from wassdep.measures import TwoStageDiscreteLaw
 
 
@@ -207,6 +208,16 @@ def test_gaussian_w2_rejects_non_psd():
     bad = np.array([[1.0, 2.0], [2.0, 1.0]])
     with pytest.raises(ValueError):
         gaussian_w2([0, 0], bad, [0, 0], np.eye(2))
+
+
+def test_gaussian_w2_rejects_an_indefinite_second_covariance_in_either_slot():
+    # A singular first covariance hides the second one's negative eigenvalue
+    # from the cross term, so the second covariance needs its own check.
+    singular, indefinite = np.diag([1.0, 0.0]), np.diag([1.0, -1.0])
+    with pytest.raises(DataError, match="second covariance is not positive semidefinite"):
+        gaussian_w2([0, 0], singular, [0, 0], indefinite)
+    with pytest.raises(DataError, match="first covariance is not positive semidefinite"):
+        gaussian_w2([0, 0], indefinite, [0, 0], singular)
 
 
 # ---------------------------------------------------------------------------
