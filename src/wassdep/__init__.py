@@ -75,7 +75,6 @@ from .measures import (
     CostSpec,
     DiscreteMeasure,
     TransportPlan,
-    TwoStageDiscreteLaw,
     cost_matrix,
     mixture,
     product_measure,
@@ -88,7 +87,6 @@ __all__ = [
     "CostSpec",
     "DiscreteMeasure",
     "TransportPlan",
-    "TwoStageDiscreteLaw",
     "cost_matrix",
     "mixture",
     "product_measure",

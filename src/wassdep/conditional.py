@@ -32,7 +32,7 @@ from .empirical import (
 from .entropic import sinkhorn_discrepancy
 from .exact import _quantile_cost, solve_exact, solve_from_cost
 from .exceptions import DataError, DegenerateMarginalError
-from .measures import CostSpec, DiscreteMeasure, TwoStageDiscreteLaw
+from .measures import CostSpec, DiscreteMeasure
 from .report import IndexReport
 
 __all__ = [
@@ -91,7 +91,6 @@ def d_conditional(
     family: ConditionalFamily,
     marginal: DiscreteMeasure,
     p: float = 1.0,
-    check: bool = True,
 ) -> float:
     """Averaged conditional-to-marginal transport distance.
 
@@ -99,8 +98,7 @@ def d_conditional(
     :func:`_transport_power` (forced coupling, quantile integral for scalar y,
     or the exact solver). Zero iff every group law equals the marginal.
     """
-    if check:
-        _check_marginal(family, marginal)
+    _check_marginal(family, marginal)
     return _family_power(family, marginal, p) ** (1.0 / p)
 
 
@@ -155,7 +153,7 @@ def i_conditional(
         n=sample.n,
         seed=sample.seed,
         exceeds_unit=bool(value > 1.0),
-        extras={"bins": family.k if mode == "bins" else None},
+        bins=family.k if mode == "bins" else None,
     )
 
 
@@ -164,7 +162,6 @@ def d_conditional_entropic(
     marginal: DiscreteMeasure,
     eps: float,
     spec: CostSpec | None = None,
-    check: bool = True,
 ) -> float:
     """Average entropic transport cost from conditionals to the marginal.
 
@@ -172,8 +169,7 @@ def d_conditional_entropic(
     (self-transport keeps an entropic bias). It stays below the plug-in
     product-coupling bound, whose entropy penalty is zero.
     """
-    if check:
-        _check_marginal(family, marginal)
+    _check_marginal(family, marginal)
     values = np.array(
         [sinkhorn_discrepancy(law, marginal, eps, spec)[1] for law in family.laws]
     )
@@ -201,25 +197,25 @@ def w_lipschitz_estimate(family: ConditionalFamily, p: float = 1.0) -> float:
     return best
 
 
-def adapted_wasserstein(law1: TwoStageDiscreteLaw, law2: TwoStageDiscreteLaw, spec: CostSpec) -> float:
-    """Nested transport distance between discrete two-stage laws.
+def adapted_wasserstein(law1: ConditionalFamily, law2: ConditionalFamily, spec: CostSpec) -> float:
+    """Nested transport distance between two conditional families.
 
-    Outer exact OT over the first marginals where moving x to x' costs
+    Outer exact OT over the laws of X where moving x to x' costs
     ``|x - x'|^p`` plus ``W_p^p`` between the attached conditional laws; the
     p-th root of the optimum is returned. Only ``spec.p`` is consulted: the
     nested cost has its own fixed two-level structure.
     """
-    if law1.x_points.shape[1] != law2.x_points.shape[1]:
+    if law1.representatives.shape[1] != law2.representatives.shape[1]:
         raise ValueError("first-coordinate dimensions disagree")
-    if law1.conditionals[0].dim != law2.conditionals[0].dim:
+    if law1.laws[0].dim != law2.laws[0].dim:
         raise ValueError("conditional dimensions disagree")
     p = spec.p
-    outer = cdist(law1.x_points, law2.x_points)
+    outer = cdist(law1.representatives, law2.representatives)
     if p != 1:
         outer = outer ** p
-    inner = np.empty((law1.n, law2.n))
-    for i, cond_i in enumerate(law1.conditionals):
-        for j, cond_j in enumerate(law2.conditionals):
+    inner = np.empty((law1.k, law2.k))
+    for i, cond_i in enumerate(law1.laws):
+        for j, cond_j in enumerate(law2.laws):
             inner[i, j] = _transport_power(cond_i, cond_j, p)
-    _, total = solve_from_cost(outer + inner, law1.x_weights, law2.x_weights)
+    _, total = solve_from_cost(outer + inner, law1.group_weights, law2.group_weights)
     return max(total, 0.0) ** (1.0 / p)

@@ -9,14 +9,14 @@ partitions, mean-discrepancy statistics, and copula/rank normalizations.
 from __future__ import annotations
 
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 from scipy.optimize import linear_sum_assignment
 from scipy.spatial.distance import cdist
 
 from .exceptions import DataError
-from .measures import CostSpec, DiscreteMeasure, _as_points, cost_matrix, product_measure
+from .measures import CostSpec, DiscreteMeasure, _as_points, _as_weights, cost_matrix, product_measure
 
 __all__ = [
     "PairedSample",
@@ -261,20 +261,33 @@ def multivariate_ranks(points, grid) -> np.ndarray:
 
 @dataclass(frozen=True)
 class ConditionalFamily:
-    """A partition of the rows with one empirical y-law per group."""
+    """A law of X on one or more atoms, with one conditional y-law per atom.
+
+    ``groups``, set by :func:`partition`, holds the sample rows behind each
+    atom. Group weights must sum to 1 within 1e-9 and are kept as given.
+    """
 
     representatives: np.ndarray
     laws: tuple[DiscreteMeasure, ...]
-    groups: tuple[np.ndarray, ...]
     group_weights: np.ndarray
-    n_rows: int = field(default=0)
+    groups: tuple[np.ndarray, ...] = ()
 
     def __post_init__(self):
-        if len(self.laws) == 0:
-            raise DataError("a conditional family needs at least one group")
-        seen = np.sort(np.concatenate([np.asarray(g) for g in self.groups]))
-        if np.any(seen[1:] == seen[:-1]):
-            raise DataError("groups overlap")
+        reps = _as_points(self.representatives, "representatives")
+        laws = tuple(self.laws)
+        if len(laws) != reps.shape[0]:
+            raise DataError("need exactly one conditional law per representative")
+        if len({law.dim for law in laws}) != 1:
+            raise DataError("conditional laws live in different dimensions")
+        weights = np.asarray(self.group_weights, dtype=float)
+        _as_weights(weights, len(laws))  # checked only: rescaling would move output bits
+        if self.groups:
+            seen = np.sort(np.concatenate([np.asarray(g) for g in self.groups]))
+            if np.any(seen[1:] == seen[:-1]):
+                raise DataError("groups overlap")
+        object.__setattr__(self, "representatives", reps)
+        object.__setattr__(self, "laws", laws)
+        object.__setattr__(self, "group_weights", weights)
 
     @property
     def k(self) -> int:
@@ -367,7 +380,6 @@ def partition(
     return ConditionalFamily(
         representatives=keys[order[starts]],
         laws=tuple(laws),
-        groups=tuple(groups),
         group_weights=weights,
-        n_rows=n,
+        groups=tuple(groups),
     )

@@ -15,14 +15,15 @@ from typing import Callable
 
 import numpy as np
 
+from .concordance import concordance_index
 from .conditional import adapted_wasserstein, gaussian_conditional_index, i_conditional
-from .empirical import PairedSample, gmd_plugin, partition, product_estimator, to_measure
+from .empirical import ConditionalFamily, PairedSample, gmd_plugin, partition, product_estimator, to_measure
 from .entropic import sinkhorn_divergence
 from .exact import solve_exact, wasserstein_1d
 from .exceptions import DataError
 from .gaussian import i_gaussian_bivariate
 from .joint import d_joint, i_joint, mori_gaussian_bounds
-from .measures import CostSpec, DiscreteMeasure, TwoStageDiscreteLaw, mixture
+from .measures import CostSpec, DiscreteMeasure, mixture
 from .report import RateReport
 
 __all__ = [
@@ -58,8 +59,6 @@ def _stat_i_conditional(sample: PairedSample, rng: np.random.Generator) -> float
 
 
 def _stat_abs_concordance(sample: PairedSample, rng: np.random.Generator) -> float:
-    from .concordance import concordance_index
-
     return abs(concordance_index(sample, mode="copula").value)
 
 
@@ -307,9 +306,9 @@ def discontinuity_demo(n: int = 1000, seed: int = 0) -> dict:
     All x values are distinct, every conditional is a one-point mass, and
     the plug-in index is exactly 1 even though the population value is 0;
     the binned estimator at the default cube rule stays small. Also reports
-    the nested (filtration-respecting) distance between the binned two-stage
-    law and its decoupled version, the quantity whose topology the plug-in
-    estimator fails to respect.
+    the nested (filtration-respecting) distance between the binned
+    conditional family and its decoupled version, the quantity whose
+    topology the plug-in estimator fails to respect.
     """
     rng = np.random.default_rng(seed)
     sample = PairedSample(rng.random(n), rng.random(n), seed=seed)
@@ -320,24 +319,16 @@ def discontinuity_demo(n: int = 1000, seed: int = 0) -> dict:
     binned = i_conditional(sample, "bins", p=1.0)
 
     family = partition(sample, "bins")
-    coarse = TwoStageDiscreteLaw(
-        x_points=family.representatives,
-        x_weights=family.group_weights,
-        conditionals=family.laws,
+    decoupled = ConditionalFamily(
+        family.representatives, (to_measure(sample.ys),) * family.k, family.group_weights
     )
-    marginal = to_measure(sample.ys)
-    decoupled = TwoStageDiscreteLaw(
-        x_points=family.representatives,
-        x_weights=family.group_weights,
-        conditionals=tuple([marginal] * family.k),
-    )
-    nested = adapted_wasserstein(coarse, decoupled, CostSpec(p=1.0))
+    nested = adapted_wasserstein(family, decoupled, CostSpec(p=1.0))
     return {
         "n": n,
         "seed": seed,
         "population_value": 0.0,
         "exact_grouping_value": exact_value,
         "binned_value": binned.value,
-        "bins": binned.extras["bins"],
+        "bins": binned.bins,
         "nested_distance": nested,
     }

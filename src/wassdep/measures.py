@@ -9,7 +9,7 @@ transport order ``p``. :func:`cost_matrix` realizes the pairwise ``d^p`` costs.
 from __future__ import annotations
 
 import os
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property
 from typing import Sequence
 
@@ -22,7 +22,6 @@ __all__ = [
     "DiscreteMeasure",
     "TransportPlan",
     "CostSpec",
-    "TwoStageDiscreteLaw",
     "cost_matrix",
     "product_measure",
     "mixture",
@@ -222,8 +221,10 @@ def cost_matrix(src: DiscreteMeasure, dst: DiscreteMeasure, spec: CostSpec) -> n
             parts.append(cdist(src.points[:, offset:offset + d], dst.points[:, offset:offset + d]))
             offset += d
         if spec.combinator == "lq":
-            if spec.q == 1:
-                dist = sum(parts)
+            if spec.q == 1:  # in place: fewer fresh pages per call, same bits
+                dist = parts[0]
+                for pk in parts[1:]:
+                    dist += pk
             else:
                 dist = sum(pk ** spec.q for pk in parts) ** (1.0 / spec.q)
         elif spec.combinator == "alpha":
@@ -256,31 +257,3 @@ def mixture(components: Sequence[DiscreteMeasure], coefficients: Sequence[float]
     points = np.vstack([m.points for m in components])
     weights = np.concatenate([c * m.weights for c, m in zip(coeffs, components)])
     return DiscreteMeasure(points, weights / weights.sum())
-
-
-@dataclass(frozen=True)
-class TwoStageDiscreteLaw:
-    """First-coordinate law with one conditional second-coordinate law per atom."""
-
-    x_points: np.ndarray
-    x_weights: np.ndarray
-    conditionals: tuple[DiscreteMeasure, ...] = field(default=())
-
-    def __post_init__(self):
-        pts = _as_points(self.x_points, "x_points")
-        w = _as_weights(self.x_weights, pts.shape[0])
-        conds = tuple(self.conditionals)
-        if len(conds) != pts.shape[0]:
-            raise ValueError("need exactly one conditional law per x atom")
-        if not conds:
-            raise ValueError("empty two-stage law")
-        ydims = {c.dim for c in conds}
-        if len(ydims) != 1:
-            raise ValueError("conditional laws live in different dimensions")
-        object.__setattr__(self, "x_points", pts)
-        object.__setattr__(self, "x_weights", w)
-        object.__setattr__(self, "conditionals", conds)
-
-    @property
-    def n(self) -> int:
-        return self.x_points.shape[0]

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass
 from typing import Any
 
 __all__ = ["IndexReport", "RateReport", "emit_report", "canonical_float"]
@@ -36,22 +36,18 @@ class IndexReport:
     p: float | None = None
     q: float | None = None
     alpha: float | None = None
-    epsilon: float | None = None
     estimator: str | None = None
     partition: str | None = None
+    bins: int | None = None
     variant: str | None = None
     mode: str | None = None
     center: float | None = None
     n: int | None = None
     seed: int | None = None
     exceeds_unit: bool | None = None
-    extras: dict[str, Any] = field(default_factory=dict)
 
     def to_dict(self) -> dict[str, Any]:
-        out = asdict(self)
-        extras = out.pop("extras")
-        out.update(extras)
-        return out
+        return asdict(self)
 
 
 @dataclass

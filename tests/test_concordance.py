@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from wassdep.concordance import (
+    _ks_distance,
     antithetic_denominator,
     concordance_index,
     d_to_diagonal,
@@ -151,3 +152,25 @@ def test_raw_mode_screens_equal_laws_like_the_symmetry_screen():
         concordance_index(sample, a=0.0, mode="raw")
     with pytest.raises(DataError, match="differ in law"):
         concordance_index(sample, a=0.0, mode="raw", strict=True)
+
+
+@pytest.mark.filterwarnings("ignore:ks_2samp:RuntimeWarning")
+@pytest.mark.parametrize("n", [2, 3, 10, 101, 1000, 10_000, 10_001, 25_000])
+def test_ks_distance_matches_scipy(n):
+    from scipy.stats import ks_2samp
+
+    rng = np.random.default_rng(n)
+    cases = [
+        (rng.normal(size=n), rng.normal(size=n)),
+        (rng.normal(size=n), rng.normal(0.3, 2.0, size=n)),
+        (np.round(rng.normal(size=n), 1), np.round(rng.normal(size=n), 1)),
+        (rng.integers(0, 3, size=n).astype(float), rng.integers(1, 4, size=n).astype(float)),
+        (np.zeros(n), np.zeros(n)),
+    ]
+    for first, second in cases:
+        want = ks_2samp(first, second).statistic
+        got = _ks_distance(first, second)
+        if n <= 10_000:  # scipy's exact mode rounds the statistic to k/n
+            assert got == want
+        else:
+            assert abs(got - want) <= 1e-15

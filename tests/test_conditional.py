@@ -15,7 +15,7 @@ from wassdep.conditional import (
 from wassdep.empirical import ConditionalFamily, PairedSample, partition, to_measure
 from wassdep.exact import _quantile_cost, solve_exact, solve_from_cost
 from wassdep.exceptions import DataError
-from wassdep.measures import CostSpec, DiscreteMeasure, TwoStageDiscreteLaw
+from wassdep.measures import CostSpec, DiscreteMeasure
 
 
 def _tied_sample():
@@ -151,9 +151,8 @@ def test_quantile_route_matches_the_solver_route_on_weighted_laws(p):
     weighted = ConditionalFamily(
         representatives=family.representatives,
         laws=tuple(laws),
-        groups=family.groups,
         group_weights=family.group_weights,
-        n_rows=family.n_rows,
+        groups=family.groups,
     )
     marginal = weighted.pooled_marginal()
     a = d_conditional(weighted, marginal, p=p)
@@ -184,18 +183,16 @@ def test_lipschitz_needs_distinct_groups():
     single = ConditionalFamily(
         representatives=family.representatives[:1],
         laws=family.laws[:1],
-        groups=family.groups[:1],
         group_weights=np.array([1.0]),
-        n_rows=3,
+        groups=family.groups[:1],
     )
     with pytest.raises(DataError):
         w_lipschitz_estimate(single)
     stacked = ConditionalFamily(
         representatives=np.zeros((2, 1)),
         laws=family.laws,
-        groups=family.groups,
         group_weights=family.group_weights,
-        n_rows=6,
+        groups=family.groups,
     )
     with pytest.raises(DataError):
         w_lipschitz_estimate(stacked)
@@ -251,15 +248,26 @@ def test_nested_distance_matches_solver_inner_costs(p):
     conds2 = (DiscreteMeasure.dirac(rng.normal(size=2)),) + tuple(
         DiscreteMeasure(rng.normal(size=(5, 2)), rng.dirichlet(np.ones(5))) for _ in range(3)
     )
-    law1 = TwoStageDiscreteLaw(x1, np.full(3, 1 / 3), conds1)
-    law2 = TwoStageDiscreteLaw(x2, rng.dirichlet(np.ones(4)), conds2)
+    law1 = ConditionalFamily(x1, conds1, np.full(3, 1 / 3))
+    law2 = ConditionalFamily(x2, conds2, rng.dirichlet(np.ones(4)))
     inner = np.array(
         [[solve_exact(a, b, CostSpec(p=p)).cost for b in conds2] for a in conds1]
     )
     outer = np.abs(x1 - x2.T) ** p
-    _, total = solve_from_cost(outer + inner, law1.x_weights, law2.x_weights)
+    _, total = solve_from_cost(outer + inner, law1.group_weights, law2.group_weights)
     want = total ** (1.0 / p)
     assert adapted_wasserstein(law1, law2, CostSpec(p=p)) == pytest.approx(want, abs=1e-9)
+
+
+def test_partition_goes_straight_into_the_nested_distance():
+    rng = np.random.default_rng(14)
+    x, y = rng.normal(size=300), rng.normal(size=300)
+    family = partition(PairedSample(x, y), "bins")
+    shifted = partition(PairedSample(x, y + 0.25), "bins")
+    assert adapted_wasserstein(family, family, CostSpec(p=1.0)) == pytest.approx(0.0, abs=1e-12)
+    # Same representatives and weights, every conditional moved by 0.25:
+    # no coupling beats the diagonal one, which pays exactly the shift.
+    assert adapted_wasserstein(family, shifted, CostSpec(p=1.0)) == pytest.approx(0.25, abs=1e-9)
 
 
 @pytest.mark.parametrize("mode", ["bins", "exact"])

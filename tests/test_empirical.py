@@ -330,5 +330,39 @@ def test_family_rejects_groups_that_share_a_row():
     laws = (to_measure([0.0, 1.0]), to_measure([2.0]))
     reps = np.array([[0.0], [1.0]])
     with pytest.raises(DataError, match="groups overlap"):
-        ConditionalFamily(reps, laws, (np.array([3, 0]), np.array([0])), np.array([2 / 3, 1 / 3]))
-    ConditionalFamily(reps, laws, (np.array([2, 0]), np.array([1])), np.array([2 / 3, 1 / 3]))
+        ConditionalFamily(reps, laws, np.array([2 / 3, 1 / 3]), (np.array([3, 0]), np.array([0])))
+    ConditionalFamily(reps, laws, np.array([2 / 3, 1 / 3]), (np.array([2, 0]), np.array([1])))
+
+
+def test_conditional_family_validation():
+    cond = to_measure([0.0, 1.0])
+    family = ConditionalFamily(np.array([0.0]), (cond,), np.array([1.0]))
+    assert family.k == 1
+    assert family.groups == ()
+    with pytest.raises(ValueError, match="one conditional"):
+        ConditionalFamily(np.array([0.0, 1.0]), (cond,), np.array([0.5, 0.5]))
+    with pytest.raises(ValueError, match="one conditional"):
+        ConditionalFamily(np.array([0.0]), (), np.array([1.0]))
+    with pytest.raises(ValueError, match="dimensions"):
+        ConditionalFamily(
+            np.array([0.0, 1.0]),
+            (cond, to_measure(np.zeros((1, 2)))),
+            np.array([0.5, 0.5]),
+        )
+
+
+def test_family_weights_are_checked_within_tolerance():
+    laws = (to_measure([0.0]), to_measure([1.0]))
+    reps = np.array([0.0, 1.0])
+    ConditionalFamily(reps, laws, np.array([0.5, 0.5 + 5e-10]))
+    for bad in ([0.5, 0.5 + 2e-9], [0.5, 0.5 - 2e-9], [1.5, -0.5], [0.5, np.nan]):
+        with pytest.raises(ValueError, match="weights"):
+            ConditionalFamily(reps, laws, np.array(bad))
+
+
+def test_family_weights_one_ulp_short_of_one_are_stored_bit_for_bit():
+    short = np.nextafter(1.0, 0.0)
+    weights = np.array([0.5, short - 0.5])
+    assert weights.sum() == short
+    family = ConditionalFamily(np.array([0.0, 1.0]), (to_measure([0.0]), to_measure([1.0])), weights)
+    assert family.group_weights.tobytes() == weights.tobytes()

@@ -1,6 +1,9 @@
-"""Every name a module imports is used in that module."""
+"""Every name a module imports is used in that module, and the CLI imports lightly."""
 
 import ast
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -20,3 +23,11 @@ def test_no_unused_imports(path):
             imported |= {(a.asname or a.name).split(".")[0] for a in node.names}
     used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
     assert sorted(imported - used) == []
+
+
+def test_cli_import_leaves_scipy_stats_unloaded():
+    # scipy.stats is heavy to import, and the CLI needs none of it.
+    env = dict(os.environ, PYTHONPATH=str(PACKAGE.parent))
+    probe = "import sys, wassdep.cli; print('scipy.stats' in sys.modules)"
+    out = subprocess.run([sys.executable, "-c", probe], env=env, capture_output=True, text=True, check=True)
+    assert out.stdout.strip() == "False"

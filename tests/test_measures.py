@@ -5,7 +5,6 @@ import pytest
 
 from wassdep import CostSpec, DataError, DiscreteMeasure, cost_matrix, mixture, product_measure
 from wassdep import measures
-from wassdep.measures import TwoStageDiscreteLaw
 
 
 def test_uniform_weights_by_default():
@@ -148,20 +147,6 @@ def test_mixture_weights_and_errors():
         mixture([a, b], [0.3, 0.3])
     with pytest.raises(ValueError):
         mixture([a], [])
-
-
-def test_two_stage_law_validation():
-    cond = DiscreteMeasure(np.array([0.0, 1.0]))
-    law = TwoStageDiscreteLaw(np.array([0.0]), np.array([1.0]), (cond,))
-    assert law.n == 1
-    with pytest.raises(ValueError, match="one conditional"):
-        TwoStageDiscreteLaw(np.array([0.0, 1.0]), np.array([0.5, 0.5]), (cond,))
-    with pytest.raises(ValueError, match="dimensions"):
-        TwoStageDiscreteLaw(
-            np.array([0.0, 1.0]),
-            np.array([0.5, 0.5]),
-            (cond, DiscreteMeasure(np.zeros((1, 2)))),
-        )
 
 
 def test_cost_matrix_beyond_physical_memory_is_refused(monkeypatch):

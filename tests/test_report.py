@@ -59,13 +59,6 @@ def test_emit_rejects_nan_inside_payload():
         emit_report({"value": float("nan")})
 
 
-def test_extras_are_flattened_into_the_payload():
-    report = IndexReport(index="marti", value=0.9, extras={"permutations": 99})
-    payload = json.loads(emit_report(report))
-    assert payload["permutations"] == 99
-    assert "extras" not in payload
-
-
 def test_rate_report_round_trips():
     report = RateReport(
         experiment="w1_shift",
