@@ -74,7 +74,6 @@ from .joint import (
 from .measures import (
     CostSpec,
     DiscreteMeasure,
-    TransportPlan,
     cost_matrix,
     mixture,
     product_measure,
@@ -86,7 +85,6 @@ __version__ = "0.1.0"
 __all__ = [
     "CostSpec",
     "DiscreteMeasure",
-    "TransportPlan",
     "cost_matrix",
     "mixture",
     "product_measure",

@@ -160,7 +160,6 @@ def build_parser() -> argparse.ArgumentParser:
     joint = index_sub.add_parser("joint")
     _add_sample_args(joint)
     joint.add_argument("--p", type=float, default=1.0)
-    joint.add_argument("--q", type=float, default=1.0)
     joint.add_argument("--alpha", type=float, default=None)
     joint.add_argument("--estimator", choices=["split", "permute", "full"], default="permute")
     joint.add_argument("--variant", choices=["min_gmd", "scaled_metric"], default="min_gmd")
@@ -213,11 +212,11 @@ def _run_ot(args) -> str:
     out = {
         "command": "ot",
         "p": args.p,
-        "distance": solve_exact(first, second, spec).distance,
+        "distance": solve_exact(first, second, spec) ** (1.0 / spec.p),
     }
     if args.epsilon is not None:
         out["epsilon"] = args.epsilon
-        out["entropic_value"] = sinkhorn_discrepancy(first, second, args.epsilon, spec)[1]
+        out["entropic_value"] = sinkhorn_discrepancy(first, second, args.epsilon, spec)
     return emit_report(out)
 
 
@@ -230,7 +229,6 @@ def _run_index(args) -> str:
             variant=args.variant,
             rng=np.random.default_rng(args.seed),
             p=args.p,
-            q=args.q,
             alpha=args.alpha,
         )
         return emit_report(report)

@@ -26,7 +26,6 @@ from .empirical import (
     gmd_plugin,
     gmd_ustat,
     partition,
-    row_groups,
     to_measure,
 )
 from .entropic import sinkhorn_discrepancy
@@ -43,22 +42,6 @@ __all__ = [
     "w_lipschitz_estimate",
     "adapted_wasserstein",
 ]
-
-
-def _aggregate_atoms(points: np.ndarray, weights: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Merge exactly-equal rows, summing their weights; rows lexsorted."""
-    order, starts = row_groups(points)
-    return points[order[starts]], np.add.reduceat(weights[order], starts)
-
-
-def _check_marginal(family: ConditionalFamily, marginal: DiscreteMeasure, tol: float = 1e-9):
-    pooled = family.pooled_marginal()
-    pa, wa = _aggregate_atoms(pooled.points, pooled.weights)
-    pb, wb = _aggregate_atoms(marginal.points, marginal.weights)
-    if pa.shape != pb.shape or not np.allclose(pa, pb, atol=tol, rtol=0.0):
-        raise DataError("marginal does not match the family's pooled y-law")
-    if not np.allclose(wa, wb, atol=tol, rtol=0.0):
-        raise DataError("marginal weights do not match the family's pooled y-law")
 
 
 def _is_dirac(law: DiscreteMeasure) -> bool:
@@ -79,7 +62,7 @@ def _transport_power(law: DiscreteMeasure, target: DiscreteMeasure, p: float) ->
         return dirac_transport_cost(law.points[0], target.points, target.weights, p)
     if law.dim == target.dim == 1:
         return _quantile_cost(law.points[:, 0], law.weights, *target.sorted_first_coordinate, p)
-    return solve_exact(law, target, CostSpec(p=p)).cost
+    return solve_exact(law, target, CostSpec(p=p))
 
 
 def _family_power(family: ConditionalFamily, marginal: DiscreteMeasure, p: float) -> float:
@@ -87,19 +70,15 @@ def _family_power(family: ConditionalFamily, marginal: DiscreteMeasure, p: float
     return float(np.dot(family.group_weights, costs))
 
 
-def d_conditional(
-    family: ConditionalFamily,
-    marginal: DiscreteMeasure,
-    p: float = 1.0,
-) -> float:
+def d_conditional(family: ConditionalFamily, p: float = 1.0) -> float:
     """Averaged conditional-to-marginal transport distance.
 
-    Returns (sum_g w_g W_p(law_g, marginal)^p)^(1/p), each group's term by
-    :func:`_transport_power` (forced coupling, quantile integral for scalar y,
-    or the exact solver). Zero iff every group law equals the marginal.
+    Returns (sum_g w_g W_p(law_g, marginal)^p)^(1/p) against the family's
+    pooled y-marginal, each group's term by :func:`_transport_power` (forced
+    coupling, quantile integral for scalar y, or the exact solver). Zero iff
+    every group law equals the marginal.
     """
-    _check_marginal(family, marginal)
-    return _family_power(family, marginal, p) ** (1.0 / p)
+    return _family_power(family, family.pooled_marginal(), p) ** (1.0 / p)
 
 
 def gaussian_conditional_index(rho: float) -> float:
@@ -159,20 +138,17 @@ def i_conditional(
 
 def d_conditional_entropic(
     family: ConditionalFamily,
-    marginal: DiscreteMeasure,
     eps: float,
     spec: CostSpec | None = None,
 ) -> float:
-    """Average entropic transport cost from conditionals to the marginal.
+    """Average entropic transport cost from conditionals to the pooled marginal.
 
     Not debiased: it does not vanish when all conditionals equal the marginal
     (self-transport keeps an entropic bias). It stays below the plug-in
     product-coupling bound, whose entropy penalty is zero.
     """
-    _check_marginal(family, marginal)
-    values = np.array(
-        [sinkhorn_discrepancy(law, marginal, eps, spec)[1] for law in family.laws]
-    )
+    marginal = family.pooled_marginal()
+    values = np.array([sinkhorn_discrepancy(law, marginal, eps, spec) for law in family.laws])
     return float(np.dot(family.group_weights, values))
 
 
@@ -217,5 +193,5 @@ def adapted_wasserstein(law1: ConditionalFamily, law2: ConditionalFamily, spec: 
     for i, cond_i in enumerate(law1.laws):
         for j, cond_j in enumerate(law2.laws):
             inner[i, j] = _transport_power(cond_i, cond_j, p)
-    _, total = solve_from_cost(outer + inner, law1.group_weights, law2.group_weights)
+    total = solve_from_cost(outer + inner, law1.group_weights, law2.group_weights)
     return max(total, 0.0) ** (1.0 / p)

@@ -293,16 +293,6 @@ class ConditionalFamily:
     def k(self) -> int:
         return len(self.laws)
 
-    def merged(self) -> DiscreteMeasure:
-        """Rebuild the joint law: each group's representative paired with its
-        y-atoms, weighted by group mass times conditional mass."""
-        points = []
-        weights = []
-        for rep, law, w in zip(self.representatives, self.laws, self.group_weights):
-            points.append(np.hstack([np.broadcast_to(rep, (law.n, len(rep))), law.points]))
-            weights.append(w * law.weights)
-        return DiscreteMeasure(np.vstack(points), np.concatenate(weights))
-
     def pooled_marginal(self) -> DiscreteMeasure:
         """Mixture of the group laws with the group weights: the y-marginal."""
         points = np.vstack([law.points for law in self.laws])

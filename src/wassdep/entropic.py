@@ -12,7 +12,7 @@ from __future__ import annotations
 import numpy as np
 
 from .exceptions import SinkhornConvergenceError
-from .measures import CostSpec, DiscreteMeasure, TransportPlan, cost_matrix
+from .measures import CostSpec, DiscreteMeasure, cost_matrix
 
 __all__ = ["sinkhorn_discrepancy", "sinkhorn_divergence"]
 
@@ -147,14 +147,12 @@ def sinkhorn_discrepancy(
     *,
     tol: float = DEFAULT_TOL,
     max_iter: int = DEFAULT_MAX_ITER,
-) -> tuple[TransportPlan, float]:
+) -> float:
     """Entropy-regularized transport between two discrete measures.
 
-    Returns the (dense) regularized plan together with the value of the
-    regularized objective. The plan's ``cost`` field carries the plain
-    transport cost ``<plan, d^p>``; the returned value adds the scaled
-    KL penalty, which for the optimal plan equals ``<plan, f + g>`` by
-    the dual optimality conditions.
+    Returns the value of the regularized objective: the plain transport
+    cost ``<plan, d^p>`` plus the scaled KL penalty, which for the optimal
+    plan equals ``<plan, f + g>`` by the dual optimality conditions.
     """
     if eps <= 0:
         raise ValueError("regularization strength eps must be positive")
@@ -172,12 +170,9 @@ def sinkhorn_discrepancy(
     f, g, _ = _sinkhorn_potentials(cost, log_a, log_b, eps, tol, max_iter, symmetric)
     log_plan = log_a[:, None] + log_b[None, :] + (f[:, None] + g[None, :] - cost) / eps
     plan = np.exp(log_plan)
-    linear = float(np.sum(plan * cost))
     # KL(plan | a x b) = <plan, (f + g - cost)/eps>, hence the tidy value below.
     value = float(np.sum(plan * (f[:, None] + g[None, :])))
-    value = max(value, 0.0)
-    transport = TransportPlan(mass=plan, cost=linear, distance=max(linear, 0.0) ** (1.0 / spec.p))
-    return transport, value
+    return max(value, 0.0)
 
 
 def sinkhorn_divergence(
@@ -195,7 +190,7 @@ def sinkhorn_divergence(
     zero. Vanishes when the measures coincide and restores metric-like
     behavior that the raw regularized objective lacks.
     """
-    _, cross = sinkhorn_discrepancy(src, dst, eps, spec, tol=tol, max_iter=max_iter)
-    _, self_src = sinkhorn_discrepancy(src, src, eps, spec, tol=tol, max_iter=max_iter)
-    _, self_dst = sinkhorn_discrepancy(dst, dst, eps, spec, tol=tol, max_iter=max_iter)
+    cross = sinkhorn_discrepancy(src, dst, eps, spec, tol=tol, max_iter=max_iter)
+    self_src = sinkhorn_discrepancy(src, src, eps, spec, tol=tol, max_iter=max_iter)
+    self_dst = sinkhorn_discrepancy(dst, dst, eps, spec, tol=tol, max_iter=max_iter)
     return max(cross - 0.5 * (self_src + self_dst), 0.0)

@@ -14,7 +14,7 @@ from scipy import sparse
 from scipy.optimize import linear_sum_assignment, linprog
 
 from .exceptions import ExactSolverError
-from .measures import CostSpec, DiscreteMeasure, TransportPlan, cost_matrix
+from .measures import CostSpec, DiscreteMeasure, cost_matrix
 
 __all__ = [
     "solve_exact",
@@ -28,12 +28,11 @@ __all__ = [
 # ---------------------------------------------------------------------------
 
 
-def solve_from_cost(cost: np.ndarray, a: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, float]:
-    """Minimize ``<plan, cost>`` over couplings of weight vectors a and b.
+def solve_from_cost(cost: np.ndarray, a: np.ndarray, b: np.ndarray) -> float:
+    """Minimal ``<plan, cost>`` over couplings of weight vectors a and b.
 
-    Returns the optimal mass matrix and its cost. Used by :func:`solve_exact`
-    and by callers that assemble composite cost matrices themselves (nested
-    transport, minimum over candidate sets).
+    Used by :func:`solve_exact` and by callers that assemble composite cost
+    matrices themselves (nested transport).
     """
     cost = np.asarray(cost, dtype=float)
     n, m = cost.shape
@@ -46,10 +45,7 @@ def solve_from_cost(cost: np.ndarray, a: np.ndarray, b: np.ndarray) -> tuple[np.
 
     if n == m and np.all(a == a[0]) and np.all(b == b[0]):
         rows, cols = linear_sum_assignment(cost)
-        mass = np.zeros((n, m))
-        mass[rows, cols] = a[0]
-        total = float(cost[rows, cols].sum() * a[0])
-        return mass, total
+        return float(cost[rows, cols].sum() * a[0])
 
     # General marginals: sparse transport LP. One of the n+m equality rows is
     # redundant; HiGHS copes, but the column sums are rescaled to eliminate
@@ -62,20 +58,17 @@ def solve_from_cost(cost: np.ndarray, a: np.ndarray, b: np.ndarray) -> tuple[np.
     res = linprog(cost.ravel(), A_eq=constraints, b_eq=rhs, bounds=(0, None), method="highs")
     if not res.success:
         raise ExactSolverError(f"transport LP failed: {res.message}")
-    mass = np.clip(res.x.reshape(n, m), 0.0, None)
-    return mass, float(res.fun)
+    return float(res.fun)
 
 
-def solve_exact(src: DiscreteMeasure, dst: DiscreteMeasure, spec: CostSpec) -> TransportPlan:
-    """Optimal coupling of two discrete measures under ``spec``.
+def solve_exact(src: DiscreteMeasure, dst: DiscreteMeasure, spec: CostSpec) -> float:
+    """Optimal transport cost between two discrete measures under ``spec``.
 
-    The plan's ``cost`` is the minimal expected ``d^p``; ``distance`` is its
-    p-th root, i.e. the Wasserstein distance of order ``spec.p``.
+    Returns the minimal expected ``d^p``, clamped at 0: ``W_p^p`` of order
+    ``spec.p``, whose p-th root is the Wasserstein distance.
     """
     cost = cost_matrix(src, dst, spec)
-    mass, total = solve_from_cost(cost, src.weights, dst.weights)
-    total = max(total, 0.0)
-    return TransportPlan(mass=mass, cost=total, distance=total ** (1.0 / spec.p))
+    return max(solve_from_cost(cost, src.weights, dst.weights), 0.0)
 
 
 # ---------------------------------------------------------------------------

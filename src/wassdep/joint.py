@@ -33,69 +33,58 @@ __all__ = [
 
 def d_joint(joint: DiscreteMeasure, product: DiscreteMeasure, spec: CostSpec) -> float:
     """Exact transport distance between a joint law and a product law."""
-    return solve_exact(joint, product, spec).distance
-
-
-def _pair_spec(sample: PairedSample, p: float, q: float, alpha: float | None) -> CostSpec:
-    dims = (sample.dx, sample.dy)
-    if alpha is not None:
-        return CostSpec(p=p, combinator="alpha", alpha=alpha, factor_dims=dims)
-    return CostSpec(p=p, combinator="lq", q=q, factor_dims=dims)
+    return solve_exact(joint, product, spec) ** (1.0 / spec.p)
 
 
 def i_joint(
     sample: PairedSample,
-    spec: CostSpec | None = None,
     estimator: str = "permute",
     variant: str = "min_gmd",
     rng: np.random.Generator | None = None,
     p: float = 1.0,
-    q: float = 1.0,
     alpha: float | None = None,
 ) -> IndexReport:
     """Normalized joint dependence index.
 
     ``min_gmd`` divides the transport distance by the smaller marginal mean
     discrepancy (the cost of independently resampling that coordinate), which
-    requires an additive cost combinator -- the sum form (q = 1) or the
-    weighted sum form -- for the bound to hold. ``scaled_metric`` instead
-    rescales each factor metric by its own mean discrepancy, making the
-    distance self-normalized with denominator 1; it builds that cost itself,
-    so it rejects ``spec``, ``alpha`` and any ``q`` other than 1.
+    requires an additive cost for the bound to hold: the sum of the factor
+    distances, or ``alpha * d_x + d_y`` when ``alpha`` is given.
+    ``scaled_metric`` instead rescales each factor metric by its own mean
+    discrepancy, making the distance self-normalized with denominator 1; it
+    builds that cost itself, so it rejects ``alpha``.
 
     The raw ratio is reported even when sampling noise pushes it above 1;
     the report carries an exceedance flag instead of clipping.
     """
     if rng is None:
         rng = np.random.default_rng(sample.seed)
+    dims = (sample.dx, sample.dy)
     if variant == "scaled_metric":
-        for name, given in (("spec", spec is not None), ("q", q != 1.0), ("alpha", alpha is not None)):
-            if given:
-                raise ValueError(f"the scaled_metric variant builds its own cost and takes no {name}")
+        if alpha is not None:
+            raise ValueError("the scaled_metric variant builds its own cost and takes no alpha")
     elif variant == "min_gmd":
-        used = spec if spec is not None else _pair_spec(sample, p, q, alpha)
-        if used.combinator == "lq" and used.q != 1:
-            raise ValueError("min_gmd normalization needs the additive cost (q = 1)")
-        if used.combinator not in ("lq", "alpha"):
-            raise ValueError("min_gmd normalization needs an additive cost combinator")
-        p = used.p
+        if alpha is None:
+            spec = CostSpec(p=p, combinator="lq", factor_dims=dims)
+        else:
+            spec = CostSpec(p=p, combinator="alpha", alpha=alpha, factor_dims=dims)
     else:
         raise ValueError(f"unknown variant {variant!r}")
 
     gmd_x = gmd_ustat(sample.xs, p)
     gmd_y = gmd_ustat(sample.ys, p)
-    if variant == "min_gmd" and used.combinator == "alpha":
-        gmd_x = used.alpha ** p * gmd_x
+    if alpha is not None:
+        gmd_x = alpha ** p * gmd_x
     if min(gmd_x, gmd_y) <= 0.0:
         raise DegenerateMarginalError("a marginal is empirically constant")
     if variant == "scaled_metric":
         scales = (gmd_x ** (1.0 / p), gmd_y ** (1.0 / p))
-        used = CostSpec(p=p, combinator="scaled", scales=scales, factor_dims=(sample.dx, sample.dy))
+        spec = CostSpec(p=p, combinator="scaled", scales=scales, factor_dims=dims)
         denominator = 1.0
     else:
         denominator = min(gmd_x, gmd_y) ** (1.0 / p)
     joint, product = product_estimator(sample, estimator, rng)
-    numerator = d_joint(joint, product, used)
+    numerator = d_joint(joint, product, spec)
 
     value = numerator / denominator
     return IndexReport(
@@ -104,8 +93,8 @@ def i_joint(
         numerator=numerator,
         denominator=denominator,
         p=p,
-        q=used.q if used.combinator == "lq" else None,
-        alpha=used.alpha if used.combinator == "alpha" else None,
+        q=spec.q if spec.combinator == "lq" else None,
+        alpha=alpha,
         estimator=estimator,
         variant=variant,
         n=sample.n,
@@ -156,8 +145,8 @@ def marti_index(
     dependence set: d(joint, C0) / (d(joint, C0) + d(joint, C1))."""
     if not c0 or not c1:
         raise DataError("both candidate sets must be nonempty")
-    d0 = min(solve_exact(joint, m, spec).distance for m in c0)
-    d1 = min(solve_exact(joint, m, spec).distance for m in c1)
+    d0 = min(d_joint(joint, m, spec) for m in c0)
+    d1 = min(d_joint(joint, m, spec) for m in c1)
     if d0 + d1 == 0.0:
         raise DataError("joint law belongs to both candidate sets")
     return d0 / (d0 + d1)
@@ -208,7 +197,7 @@ def d_joint_multivariate(
         spec = CostSpec(p=p, combinator="lq", q=1.0, factor_dims=dims)
     joint = to_measure(np.hstack(mats))
     product = to_measure(np.hstack(permuted))
-    return solve_exact(joint, product, spec).distance
+    return d_joint(joint, product, spec)
 
 
 def reference_measure_variant(
@@ -229,6 +218,6 @@ def reference_measure_variant(
         raise DataError("reference dimensions do not match the sample")
     reference = product_measure(ref_x, ref_y)
     joint, product = product_estimator(sample, "full")
-    w2_joint = solve_exact(joint, reference, spec).cost
-    w2_product = solve_exact(product, reference, spec).cost
+    w2_joint = solve_exact(joint, reference, spec)
+    w2_product = solve_exact(product, reference, spec)
     return float(w2_joint - w2_product)

@@ -1,4 +1,4 @@
-"""Discrete measures, ground-cost specifications, and transport plans.
+"""Discrete measures and ground-cost specifications.
 
 Everything downstream works with finitely supported probability measures on
 R^d. A ground cost is described by a :class:`CostSpec`: Euclidean distances
@@ -20,7 +20,6 @@ from .exceptions import DataError
 
 __all__ = [
     "DiscreteMeasure",
-    "TransportPlan",
     "CostSpec",
     "cost_matrix",
     "product_measure",
@@ -117,22 +116,6 @@ class DiscreteMeasure:
         """
         order = np.argsort(self.points[:, 0], kind="stable")
         return self.points[order, 0], self.weights[order]
-
-
-@dataclass(frozen=True)
-class TransportPlan:
-    """Coupling between two discrete measures together with its cost.
-
-    ``cost`` is the expected p-th power of the ground distance under the plan;
-    ``distance`` is ``cost ** (1/p)`` for the spec that produced the plan.
-    """
-
-    mass: np.ndarray
-    cost: float
-    distance: float
-
-    def marginals(self) -> tuple[np.ndarray, np.ndarray]:
-        return self.mass.sum(axis=1), self.mass.sum(axis=0)
 
 
 @dataclass(frozen=True)

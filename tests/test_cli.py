@@ -342,10 +342,14 @@ def test_scaled_metric_rejects_q_and_alpha(tmp_path, capsys):
     base = ["index", "joint", "--file", str(data), "--x", "0", "--y", "1", "--variant", "scaled_metric"]
     code, out, _ = _run(capsys, base)
     assert code == 0 and json.loads(out)["variant"] == "scaled_metric"
-    for extra, name in [(["--q", "3", "--alpha", "2"], "q"), (["--alpha", "2"], "alpha")]:
-        code, out, err = _run(capsys, base + extra)
-        assert (code, out) == (1, "")
-        assert f"takes no {name}" in err
+    code, out, err = _run(capsys, base + ["--alpha", "2"])
+    assert (code, out) == (1, "")
+    assert "takes no alpha" in err
+    # The cost of every joint variant is additive, so there is no --q.
+    for argv in (base, base[:-2]):
+        code, out, err = _run(capsys, argv + ["--q", "3"])
+        assert (code, out) == (2, "")
+        assert "--q" in err
 
 
 def test_cost_matrix_beyond_memory_exits_1(tmp_path, capsys, monkeypatch):

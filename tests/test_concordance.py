@@ -64,7 +64,7 @@ def test_antithetic_normalizer_agrees_with_exact_transport():
         closed = antithetic_denominator(x, a)
         anti = to_measure(np.column_stack([x, a - x]))
         diag = to_measure(np.column_stack([x, x]))
-        solved = solve_exact(anti, diag, CostSpec(p=2.0)).distance
+        solved = solve_exact(anti, diag, CostSpec(p=2.0)) ** 0.5
         assert closed == pytest.approx(solved, abs=1e-12)
         assert closed == pytest.approx(2.0 * np.std(x), abs=1e-15)
 

@@ -192,19 +192,6 @@ def test_exact_partition_groups_equal_rows():
     assert np.allclose(np.sort(law_for_two.points[:, 0]), [10.0, 30.0])
 
 
-def test_merged_family_reconstructs_the_joint_law():
-    rng = np.random.default_rng(7)
-    xs = rng.integers(0, 3, size=30).astype(float)
-    ys = rng.normal(size=30)
-    family = partition(PairedSample(xs, ys), "exact")
-    merged = family.merged()
-    direct = to_measure(np.column_stack([xs, ys]))
-    # same multiset of weighted atoms, possibly in different order
-    got = sorted(map(tuple, np.column_stack([merged.points, merged.weights]).tolist()))
-    want = sorted(map(tuple, np.column_stack([direct.points, direct.weights]).tolist()))
-    assert np.allclose(got, want)
-
-
 def test_pooled_marginal_total_mass_and_support():
     xs = np.array([0.0, 0.0, 1.0, 1.0])
     ys = np.array([5.0, 6.0, 7.0, 8.0])

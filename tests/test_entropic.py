@@ -13,7 +13,7 @@ from wassdep import (
     solve_exact,
     to_measure,
 )
-from wassdep.entropic import logsumexp
+from wassdep.entropic import _sinkhorn_potentials, logsumexp
 
 
 def _instance(seed, n=11, m=8, d=2):
@@ -21,31 +21,40 @@ def _instance(seed, n=11, m=8, d=2):
     return to_measure(rng.normal(size=(n, d))), to_measure(rng.normal(size=(m, d)) + 0.3)
 
 
+def _rebuilt_plan(src, dst, eps, spec=CostSpec(p=2.0), tol=1e-9, max_iter=10_000, symmetric=False):
+    """The plan and cost matrix that sinkhorn_discrepancy solves, rebuilt
+    from the potentials by the same expression."""
+    cost = cost_matrix(src, dst, spec)
+    log_a, log_b = np.log(src.weights), np.log(dst.weights)
+    f, g, _ = _sinkhorn_potentials(cost, log_a, log_b, eps, tol, max_iter, symmetric)
+    return np.exp(log_a[:, None] + log_b[None, :] + (f[:, None] + g[None, :] - cost) / eps), cost
+
+
 def test_plan_marginals_match_within_tolerance():
     src, dst = _instance(0)
-    plan, _ = sinkhorn_discrepancy(src, dst, eps=0.5, tol=1e-9)
-    row, col = plan.marginals()
-    assert np.abs(row - src.weights).max() <= 1e-8
-    assert np.abs(col - dst.weights).max() <= 1e-8
-    assert np.all(plan.mass >= 0)
+    for target, symmetric in ((dst, False), (src, True)):  # alternating, then averaged sweeps
+        plan, _ = _rebuilt_plan(src, target, 0.5, symmetric=symmetric)
+        assert np.abs(plan.sum(axis=1) - src.weights).max() <= 1e-8
+        assert np.abs(plan.sum(axis=0) - target.weights).max() <= 1e-8
+        assert np.all(plan >= 0)
 
 
 def test_regularized_value_upper_bounds_exact_cost():
     for seed in range(5):
         src, dst = _instance(seed)
-        exact = solve_exact(src, dst, CostSpec(p=2.0)).cost
-        _, value = sinkhorn_discrepancy(src, dst, eps=0.8)
+        exact = solve_exact(src, dst, CostSpec(p=2.0))
+        value = sinkhorn_discrepancy(src, dst, eps=0.8)
         assert value >= exact - 1e-9
 
 
 def test_gap_shrinks_as_regularization_shrinks():
     src, dst = _instance(3)
     spec = CostSpec(p=2.0)
-    exact = solve_exact(src, dst, spec).cost
+    exact = solve_exact(src, dst, spec)
     med = float(np.median(cost_matrix(src, dst, spec)))
     gaps = []
     for mult, tol in ((1.0, 1e-9), (0.3, 1e-9), (0.1, 1e-9)):
-        _, value = sinkhorn_discrepancy(src, dst, mult * med, spec, tol=tol)
+        value = sinkhorn_discrepancy(src, dst, mult * med, spec, tol=tol)
         gaps.append(value - exact)
     assert gaps[0] > gaps[1] > gaps[2] > -1e-9
 
@@ -53,9 +62,9 @@ def test_gap_shrinks_as_regularization_shrinks():
 def test_value_approaches_exact_cost_for_small_eps():
     src, dst = _instance(4, n=9, m=9)
     spec = CostSpec(p=2.0)
-    exact = solve_exact(src, dst, spec).cost
+    exact = solve_exact(src, dst, spec)
     med = float(np.median(cost_matrix(src, dst, spec)))
-    _, value = sinkhorn_discrepancy(src, dst, 0.01 * med, spec, tol=1e-6, max_iter=200_000)
+    value = sinkhorn_discrepancy(src, dst, 0.01 * med, spec, tol=1e-6, max_iter=200_000)
     assert value == pytest.approx(exact, abs=0.05 * max(exact, 1.0))
 
 
@@ -89,8 +98,8 @@ def test_symmetric_path_agrees_with_alternating_path():
     b = to_measure(pts.copy())  # bit-equal points: symmetric shortcut
     b2 = to_measure((pts * 3.0) / 3.0)  # same measure up to rounding: alternating path
     assert not np.array_equal(a.points, b2.points)
-    v_sym = sinkhorn_discrepancy(a, b, 0.6)[1]
-    v_alt = sinkhorn_discrepancy(a, b2, 0.6)[1]
+    v_sym = sinkhorn_discrepancy(a, b, 0.6)
+    v_alt = sinkhorn_discrepancy(a, b2, 0.6)
     assert v_sym == pytest.approx(v_alt, rel=1e-6, abs=1e-8)
 
 
@@ -153,10 +162,10 @@ def test_logsumexp_of_an_all_minus_inf_slice_is_minus_inf(axis):
 def test_sinkhorn_values_are_pinned():
     """Values captured before the log-sum-exp moved in-module; both paths."""
     src, dst = _instance(11)
-    plan, value = sinkhorn_discrepancy(src, dst, eps=0.3)
-    assert value == 1.1508495085778316
-    assert plan.cost == 0.8060086003488018
-    assert sinkhorn_discrepancy(src, src, eps=0.3)[1] == 0.548812654668838
+    assert sinkhorn_discrepancy(src, dst, eps=0.3) == 1.1508495085778316
+    plan, cost = _rebuilt_plan(src, dst, 0.3)
+    assert float(np.sum(plan * cost)) == 0.8060086003488018
+    assert sinkhorn_discrepancy(src, src, eps=0.3) == 0.548812654668838
     assert sinkhorn_divergence(src, dst, eps=0.3) == 0.610446153314319
 
 
@@ -173,8 +182,7 @@ def test_deep_regularization_stays_finite_in_log_domain():
     src, dst = _instance(10, n=7, m=7)
     spec = CostSpec(p=2.0)
     med = float(np.median(cost_matrix(src, dst, spec)))
-    plan, value = sinkhorn_discrepancy(
-        src, dst, 1e-3 * med, spec, tol=1e-4, max_iter=200_000
-    )
+    value = sinkhorn_discrepancy(src, dst, 1e-3 * med, spec, tol=1e-4, max_iter=200_000)
     assert np.isfinite(value)
-    assert np.all(np.isfinite(plan.mass))
+    plan, _ = _rebuilt_plan(src, dst, 1e-3 * med, spec, tol=1e-4, max_iter=200_000)
+    assert np.all(np.isfinite(plan))
