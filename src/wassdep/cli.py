@@ -242,7 +242,7 @@ def _run_index(args) -> str:
     if args.index_kind == "marti":
         rng = np.random.default_rng(args.seed)
         c0, c1 = default_marti_sets(sample, rng)
-        spec = CostSpec(p=args.p, combinator="lq", q=1.0, factor_dims=(sample.dx, sample.dy))
+        spec = CostSpec(p=args.p, factor_dims=(sample.dx, sample.dy))
         value = marti_index(to_measure(sample.joint_rows()), c0, c1, spec)
         return emit_report(
             IndexReport(index="marti", value=value, p=args.p, n=sample.n, seed=args.seed)

@@ -173,19 +173,18 @@ def w_lipschitz_estimate(family: ConditionalFamily, p: float = 1.0) -> float:
     return best
 
 
-def adapted_wasserstein(law1: ConditionalFamily, law2: ConditionalFamily, spec: CostSpec) -> float:
+def adapted_wasserstein(law1: ConditionalFamily, law2: ConditionalFamily, p: float = 1.0) -> float:
     """Nested transport distance between two conditional families.
 
     Outer exact OT over the laws of X where moving x to x' costs
     ``|x - x'|^p`` plus ``W_p^p`` between the attached conditional laws; the
-    p-th root of the optimum is returned. Only ``spec.p`` is consulted: the
-    nested cost has its own fixed two-level structure.
+    p-th root of the optimum is returned.
     """
     if law1.representatives.shape[1] != law2.representatives.shape[1]:
         raise ValueError("first-coordinate dimensions disagree")
     if law1.laws[0].dim != law2.laws[0].dim:
         raise ValueError("conditional dimensions disagree")
-    p = spec.p
+    CostSpec(p=p)  # the one check on p: ValueError unless p >= 1
     outer = cdist(law1.representatives, law2.representatives)
     if p != 1:
         outer = outer ** p

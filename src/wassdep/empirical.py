@@ -79,31 +79,28 @@ def to_measure(rows) -> DiscreteMeasure:
 # ---------------------------------------------------------------------------
 
 
-def gmd_ustat(rows, p: float = 1.0, spec: CostSpec | None = None) -> float:
-    """Unbiased mean p-th power discrepancy: mean of d(z_i, z_j)^p over i != j.
+def gmd_ustat(rows, p: float = 1.0) -> float:
+    """Unbiased mean p-th power discrepancy: mean of |z_i - z_j|^p over i != j.
 
-    Euclidean metric by default; pass a cost specification for composite
-    metrics. Closed forms cover the common cases (p=2 any dimension, p=1 in
-    one dimension); everything else goes through the pairwise cost matrix.
+    Closed forms cover the common cases (p=2 any dimension, p=1 in one
+    dimension); everything else goes through the pairwise cost matrix.
     """
     m = DiscreteMeasure(rows)
     z, n = m.points, m.n
     if n < 2:
         raise DataError("mean discrepancy needs at least 2 rows")
-    if spec is None:
-        if p == 2:
-            # sum_{i,j} |z_i - z_j|^2 = 2n sum|c_i|^2 - 2|sum c_i|^2 for centered c.
-            centered = z - z.mean(axis=0)
-            sq = np.einsum("ij,ij->", centered, centered)
-            drift = centered.sum(axis=0)
-            total = 2.0 * n * sq - 2.0 * float(drift @ drift)
-            return max(float(total / (n * (n - 1))), 0.0)
-        if p == 1 and z.shape[1] == 1:
-            s = np.sort(z[:, 0])
-            coeff = 2.0 * np.arange(1 - n, n, 2)
-            return float(np.dot(coeff, s) / (n * (n - 1)))
-        spec = CostSpec(p=p)
-    c = cost_matrix(m, m, spec)
+    if p == 2:
+        # sum_{i,j} |z_i - z_j|^2 = 2n sum|c_i|^2 - 2|sum c_i|^2 for centered c.
+        centered = z - z.mean(axis=0)
+        sq = np.einsum("ij,ij->", centered, centered)
+        drift = centered.sum(axis=0)
+        total = 2.0 * n * sq - 2.0 * float(drift @ drift)
+        return max(float(total / (n * (n - 1))), 0.0)
+    if p == 1 and z.shape[1] == 1:
+        s = np.sort(z[:, 0])
+        coeff = 2.0 * np.arange(1 - n, n, 2)
+        return float(np.dot(coeff, s) / (n * (n - 1)))
+    c = cost_matrix(m, m, CostSpec(p=p))
     return float((c.sum() - np.trace(c)) / (n * (n - 1)))
 
 

@@ -46,7 +46,7 @@ __all__ = [
 
 def _stat_d_joint(sample: PairedSample, rng: np.random.Generator) -> float:
     joint, product = product_estimator(sample, "permute", rng)
-    spec = CostSpec(p=1.0, combinator="lq", q=1.0, factor_dims=(sample.dx, sample.dy))
+    spec = CostSpec(p=1.0, factor_dims=(sample.dx, sample.dy))
     return d_joint(joint, product, spec)
 
 
@@ -113,7 +113,7 @@ def contamination_check(
     because the contaminant is the product itself)."""
     rng = np.random.default_rng(seed)
     joint, product = product_estimator(sample, "permute", rng)
-    spec = CostSpec(p=p, combinator="lq", q=1.0, factor_dims=(sample.dx, sample.dy))
+    spec = CostSpec(p=p, factor_dims=(sample.dx, sample.dy))
     base = solve_exact(joint, product, spec)
     rows = []
     ok = True
@@ -322,7 +322,7 @@ def discontinuity_demo(n: int = 1000, seed: int = 0) -> dict:
     decoupled = ConditionalFamily(
         family.representatives, (to_measure(sample.ys),) * family.k, family.group_weights
     )
-    nested = adapted_wasserstein(family, decoupled, CostSpec(p=1.0))
+    nested = adapted_wasserstein(family, decoupled, p=1.0)
     return {
         "n": n,
         "seed": seed,

@@ -1,9 +1,11 @@
 """Discrete measures and ground-cost specifications.
 
 Everything downstream works with finitely supported probability measures on
-R^d. A ground cost is described by a :class:`CostSpec`: Euclidean distances
-within each factor of a product space, a combinator across factors, and the
-transport order ``p``. :func:`cost_matrix` realizes the pairwise ``d^p`` costs.
+R^d. A ground cost is described by a :class:`CostSpec`: the transport order
+``p`` and, on a product space, the dimension and weight of each factor; the
+distance is the weighted sum of the factors' Euclidean distances, or the
+plain Euclidean distance when no factors are given. :func:`cost_matrix`
+realizes the pairwise ``d^p`` costs.
 """
 
 from __future__ import annotations
@@ -29,8 +31,6 @@ __all__ = [
 # Inputs whose weights sum within this tolerance of 1 are renormalized;
 # anything further off is rejected as malformed rather than silently rescaled.
 WEIGHT_TOL = 1e-9
-
-_COMBINATORS = ("single", "lq", "alpha", "scaled")
 
 
 # Bytes of physical memory. A dense cost matrix larger than this cannot be
@@ -122,58 +122,32 @@ class DiscreteMeasure:
 class CostSpec:
     """Ground-cost descriptor.
 
-    The distance between two points of the (product) space is built from the
-    Euclidean distance within each factor:
-
-    - ``single``: one factor, plain Euclidean distance;
-    - ``lq``: ``(sum_k d_k^q) ** (1/q)`` across factors, q >= 1;
-    - ``alpha``: ``alpha * d_1 + d_2`` for exactly two factors, alpha > 0;
-    - ``scaled``: ``sum_k d_k / scales[k]`` with strictly positive scales.
-
-    ``factor_dims`` lists the ambient dimension of each factor and is required
-    for every combinator except ``single``. The matrix entry produced by
-    :func:`cost_matrix` is the combined distance raised to the power ``p``.
+    With no ``factor_dims`` the distance between two points is Euclidean.
+    Otherwise the space is a product whose k-th factor spans the next
+    ``factor_dims[k]`` coordinates, and the distance is
+    ``sum_k weights[k] * d_k`` over the factors' Euclidean distances ``d_k``.
+    ``weights`` default to all ones; given, they hold one finite, strictly
+    positive weight per factor. The matrix entry produced by
+    :func:`cost_matrix` is the distance raised to the power ``p``.
     """
 
     p: float = 1.0
-    combinator: str = "single"
-    q: float = 1.0
-    alpha: float = 1.0
-    scales: tuple[float, ...] = ()
     factor_dims: tuple[int, ...] = ()
+    weights: tuple[float, ...] = ()
 
     def __post_init__(self):
         if not np.isfinite(self.p) or self.p < 1:
             raise ValueError("cost exponent p must be a finite real >= 1")
-        if self.combinator not in _COMBINATORS:
-            raise ValueError(f"unknown combinator {self.combinator!r}")
-        if self.combinator == "single":
-            if self.factor_dims:
-                object.__setattr__(self, "factor_dims", ())
-            return
         dims = tuple(int(d) for d in self.factor_dims)
-        if len(dims) < 2 or any(d < 1 for d in dims):
-            raise ValueError("factor_dims must list >= 2 positive dimensions")
+        if any(d < 1 for d in dims):
+            raise ValueError("factor_dims must be positive")
+        weights = tuple(float(w) for w in self.weights) or (1.0,) * len(dims)
+        if len(weights) != len(dims):
+            raise ValueError(f"need one weight per factor, got {len(weights)} for {len(dims)}")
+        if not all(np.isfinite(w) and w > 0 for w in weights):
+            raise ValueError(f"factor weights must be finite and strictly positive, got {weights}")
         object.__setattr__(self, "factor_dims", dims)
-        if self.combinator == "lq" and (not np.isfinite(self.q) or self.q < 1):
-            raise ValueError("lq combinator needs q >= 1")
-        if self.combinator == "alpha":
-            if len(dims) != 2:
-                raise ValueError("alpha combinator is defined for two factors")
-            if not np.isfinite(self.alpha) or self.alpha <= 0:
-                raise ValueError("alpha must be strictly positive")
-        if self.combinator == "scaled":
-            scales = tuple(float(s) for s in self.scales)
-            if len(scales) != len(dims):
-                raise ValueError("need one scale per factor")
-            if any(not np.isfinite(s) or s <= 0 for s in scales):
-                raise ValueError("scales must be strictly positive")
-            object.__setattr__(self, "scales", scales)
-
-    @property
-    def ambient_dim(self) -> int | None:
-        """Total dimension the spec expects, or None when unconstrained."""
-        return sum(self.factor_dims) if self.factor_dims else None
+        object.__setattr__(self, "weights", weights)
 
 
 def cost_matrix(src: DiscreteMeasure, dst: DiscreteMeasure, spec: CostSpec) -> np.ndarray:
@@ -185,35 +159,27 @@ def cost_matrix(src: DiscreteMeasure, dst: DiscreteMeasure, spec: CostSpec) -> n
     """
     if src.dim != dst.dim:
         raise ValueError(f"dimension mismatch: {src.dim} vs {dst.dim}")
+    dims, weights = (spec.factor_dims, spec.weights) if spec.factor_dims else ((src.dim,), (1.0,))
+    if sum(dims) != src.dim:
+        raise ValueError(f"spec expects total dimension {sum(dims)}, measures have {src.dim}")
     nbytes = src.n * dst.n * 8
     if PHYSICAL_MEMORY is not None and nbytes > PHYSICAL_MEMORY:
         raise DataError(
             f"a {src.n} x {dst.n} cost matrix needs {nbytes} bytes, "
             f"more than the {PHYSICAL_MEMORY} bytes of physical memory"
         )
-    if spec.combinator == "single":
-        dist = cdist(src.points, dst.points)
-    else:
-        if spec.ambient_dim != src.dim:
-            raise ValueError(
-                f"spec expects total dimension {spec.ambient_dim}, measures have {src.dim}"
-            )
-        parts = []
-        offset = 0
-        for d in spec.factor_dims:
-            parts.append(cdist(src.points[:, offset:offset + d], dst.points[:, offset:offset + d]))
-            offset += d
-        if spec.combinator == "lq":
-            if spec.q == 1:  # in place: fewer fresh pages per call, same bits
-                dist = parts[0]
-                for pk in parts[1:]:
-                    dist += pk
-            else:
-                dist = sum(pk ** spec.q for pk in parts) ** (1.0 / spec.q)
-        elif spec.combinator == "alpha":
-            dist = spec.alpha * parts[0] + parts[1]
-        else:  # scaled
-            dist = sum(pk / s for pk, s in zip(parts, spec.scales))
+    # Weighted and summed in place: a fresh n x m temporary per factor costs page faults.
+    dist = None
+    offset = 0
+    for d, w in zip(dims, weights):
+        part = cdist(src.points[:, offset:offset + d], dst.points[:, offset:offset + d])
+        offset += d
+        if w != 1:
+            part *= w
+        if dist is None:
+            dist = part
+        else:
+            dist += part
     if spec.p == 1:
         return dist
     return dist ** spec.p

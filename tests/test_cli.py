@@ -352,6 +352,17 @@ def test_scaled_metric_rejects_q_and_alpha(tmp_path, capsys):
         assert "--q" in err
 
 
+@pytest.mark.parametrize("alpha", ["0", "-1", "nan"])
+def test_bad_alpha_exits_1_naming_the_weight(tmp_path, capsys, alpha):
+    # Zero alpha also zeroes the x discrepancy; the weight's own error must
+    # win over "a marginal is empirically constant".
+    data = _write_pair(tmp_path / "pair.csv")
+    argv = ["index", "joint", "--file", str(data), "--x", "0", "--y", "1", "--alpha", alpha]
+    code, out, err = _run(capsys, argv)
+    assert (code, out) == (1, "")
+    assert "weight" in err and "constant" not in err
+
+
 def test_cost_matrix_beyond_memory_exits_1(tmp_path, capsys, monkeypatch):
     from wassdep import measures
 

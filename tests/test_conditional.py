@@ -243,7 +243,7 @@ def test_nested_distance_matches_solver_inner_costs(p):
     outer = np.abs(x1 - x2.T) ** p
     total = solve_from_cost(outer + inner, law1.group_weights, law2.group_weights)
     want = total ** (1.0 / p)
-    assert adapted_wasserstein(law1, law2, CostSpec(p=p)) == pytest.approx(want, abs=1e-9)
+    assert adapted_wasserstein(law1, law2, p=p) == pytest.approx(want, abs=1e-9)
 
 
 def test_partition_goes_straight_into_the_nested_distance():
@@ -251,10 +251,10 @@ def test_partition_goes_straight_into_the_nested_distance():
     x, y = rng.normal(size=300), rng.normal(size=300)
     family = partition(PairedSample(x, y), "bins")
     shifted = partition(PairedSample(x, y + 0.25), "bins")
-    assert adapted_wasserstein(family, family, CostSpec(p=1.0)) == pytest.approx(0.0, abs=1e-12)
+    assert adapted_wasserstein(family, family, p=1.0) == pytest.approx(0.0, abs=1e-12)
     # Same representatives and weights, every conditional moved by 0.25:
     # no coupling beats the diagonal one, which pays exactly the shift.
-    assert adapted_wasserstein(family, shifted, CostSpec(p=1.0)) == pytest.approx(0.25, abs=1e-9)
+    assert adapted_wasserstein(family, shifted, p=1.0) == pytest.approx(0.25, abs=1e-9)
 
 
 @pytest.mark.parametrize("mode", ["bins", "exact"])

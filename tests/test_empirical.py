@@ -19,6 +19,7 @@ from wassdep import (
     to_measure,
 )
 from wassdep.empirical import _snap_to_centers, dirac_transport_cost, rank_grid_values
+from wassdep.measures import cost_matrix
 
 
 def test_paired_sample_shapes_and_errors():
@@ -62,11 +63,19 @@ def test_gmd_plugin_is_scaled_ustat_for_uniform_weights():
         assert plug == pytest.approx(u * (len(z) - 1) / len(z), rel=1e-12)
 
 
+def _cost_matrix_mean(z, p):
+    """Mean of the off-diagonal pairwise costs, as the pairwise route forms it."""
+    m = to_measure(z)
+    c = cost_matrix(m, m, CostSpec(p=p))
+    return float((c.sum() - np.trace(c)) / (m.n * (m.n - 1)))
+
+
 def test_gmd_with_cost_spec_route():
     rng = np.random.default_rng(2)
     z = rng.normal(size=(15, 2))
-    spec = CostSpec(p=2.0)
-    assert gmd_ustat(z, spec=spec) == pytest.approx(gmd_ustat(z, p=2.0), rel=1e-10)
+    assert gmd_ustat(z, p=2.0) == pytest.approx(_cost_matrix_mean(z, 2.0), rel=1e-10)
+    with pytest.raises(TypeError, match="spec"):
+        gmd_ustat(z, spec=CostSpec(p=2.0))
 
 
 def test_gmd_needs_two_rows():
@@ -261,9 +270,9 @@ def test_gmd_pairwise_route_is_the_cost_matrix(monkeypatch):
     calls = []
     real = empirical.cost_matrix
     monkeypatch.setattr(empirical, "cost_matrix", lambda *a: calls.append(1) or real(*a))
-    assert gmd_ustat(z, p=3.0) == gmd_ustat(z, spec=CostSpec(p=3.0))
-    assert gmd_ustat(z[:, :1], p=1.5) == gmd_ustat(z[:, :1], spec=CostSpec(p=1.5))
-    assert len(calls) == 4
+    assert gmd_ustat(z, p=3.0) == _cost_matrix_mean(z, 3.0)
+    assert gmd_ustat(z[:, :1], p=1.5) == _cost_matrix_mean(z[:, :1], 1.5)
+    assert len(calls) == 2
     with pytest.raises(ValueError, match="p must be"):
         gmd_ustat(z, p=0.5)
 

@@ -54,6 +54,32 @@ def test_min_gmd_requires_additive_cost():
         i_joint(sample, variant="mystery")
 
 
+@pytest.mark.parametrize("p", [1.0, 2.0])
+@pytest.mark.parametrize("dx", [1, 2])
+def test_alpha_weights_x_like_rescaling_it(p, dx):
+    # alpha * d_x is the distance between alpha * x rows, so the alpha index
+    # of (x, y) is the plain index of (alpha * x, y).
+    rng = np.random.default_rng(9)
+    x = rng.normal(size=(60, dx))
+    y = x[:, :1] + rng.normal(size=(60, 1))
+    for a in (0.3, 2.5):
+        weighted = i_joint(PairedSample(x, y, seed=4), p=p, alpha=a)
+        rescaled = i_joint(PairedSample(a * x, y, seed=4), p=p)
+        assert weighted.value == pytest.approx(rescaled.value, rel=1e-12, abs=1e-12)
+
+
+def test_scaled_metric_ignores_the_units_of_each_factor():
+    rng = np.random.default_rng(10)
+    x = rng.normal(size=(50, 2))
+    y = x[:, :1] + rng.normal(size=(50, 1))
+    for p in (1.0, 2.0):
+        base = i_joint(PairedSample(x, y, seed=1), variant="scaled_metric", p=p).value
+        for c in (1e-6, 1e6):
+            for d in (1e-6, 1e6):
+                moved = i_joint(PairedSample(c * x, d * y, seed=1), variant="scaled_metric", p=p)
+                assert moved.value == pytest.approx(base, rel=1e-12, abs=1e-12)
+
+
 def test_constant_marginal_is_degenerate():
     sample = PairedSample(np.ones(8), np.arange(8.0), seed=0)
     with pytest.raises(DegenerateMarginalError):
@@ -109,9 +135,20 @@ def test_multivariate_two_blocks_match_pairwise_route():
     via_blocks = d_joint_multivariate([x, y], rng=np.random.default_rng(5), p=1.0)
     sample = PairedSample(x, y, seed=0)
     joint, product = product_estimator(sample, "permute", np.random.default_rng(5))
-    spec = CostSpec(p=1.0, combinator="lq", q=1.0, factor_dims=(1, 1))
+    spec = CostSpec(p=1.0, factor_dims=(1, 1))
     via_pair = d_joint(joint, product, spec)
     assert via_blocks == pytest.approx(via_pair, abs=1e-12)
+
+
+def test_multivariate_honours_p_and_takes_no_spec():
+    rng = np.random.default_rng(8)
+    x = rng.normal(size=30)
+    y = x + rng.normal(size=30)
+    d1 = d_joint_multivariate([x, y], rng=np.random.default_rng(2), p=1.0)
+    d3 = d_joint_multivariate([x, y], rng=np.random.default_rng(2), p=3.0)
+    assert d1 != d3
+    with pytest.raises(TypeError, match="spec"):
+        d_joint_multivariate([x, y], spec=CostSpec(p=2.0, factor_dims=(1, 1)))
 
 
 def test_multivariate_three_identical_blocks_are_dependent():

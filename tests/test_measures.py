@@ -2,6 +2,7 @@
 
 import numpy as np
 import pytest
+from scipy.spatial.distance import cdist
 
 from wassdep import CostSpec, DataError, DiscreteMeasure, cost_matrix, mixture, product_measure
 from wassdep import measures
@@ -56,32 +57,23 @@ def test_cost_spec_requires_p_at_least_one():
         CostSpec(p=np.inf)
 
 
-def test_cost_spec_unknown_combinator():
-    with pytest.raises(ValueError, match="combinator"):
-        CostSpec(combinator="weird")
+def test_factor_dims_default_to_unit_weights():
+    assert CostSpec(factor_dims=(2, 3)).weights == (1.0, 1.0)
+    assert CostSpec().factor_dims == CostSpec().weights == ()
+    for dims in [(1, 0), (2, -1)]:
+        with pytest.raises(ValueError, match="factor_dims"):
+            CostSpec(factor_dims=dims)
 
 
-def test_lq_needs_factor_dims_and_valid_q():
-    with pytest.raises(ValueError):
-        CostSpec(combinator="lq")
-    with pytest.raises(ValueError):
-        CostSpec(combinator="lq", q=0.5, factor_dims=(1, 1))
-    spec = CostSpec(combinator="lq", q=2.0, factor_dims=(2, 3))
-    assert spec.ambient_dim == 5
-
-
-def test_alpha_needs_two_factors_and_positive_alpha():
-    with pytest.raises(ValueError):
-        CostSpec(combinator="alpha", factor_dims=(1, 1, 1))
-    with pytest.raises(ValueError):
-        CostSpec(combinator="alpha", alpha=0.0, factor_dims=(1, 1))
-
-
-def test_scaled_needs_matching_positive_scales():
-    with pytest.raises(ValueError):
-        CostSpec(combinator="scaled", factor_dims=(1, 1), scales=(1.0,))
-    with pytest.raises(ValueError):
-        CostSpec(combinator="scaled", factor_dims=(1, 1), scales=(1.0, -2.0))
+def test_weights_need_one_finite_positive_value_per_factor():
+    for weights in [(1.0,), (1.0, 1.0, 1.0)]:
+        with pytest.raises(ValueError, match="one weight per factor"):
+            CostSpec(factor_dims=(1, 1), weights=weights)
+    with pytest.raises(ValueError, match="one weight per factor"):
+        CostSpec(weights=(1.0,))
+    for weights in [(0.0, 1.0), (1.0, -2.0), (np.nan, 1.0), (1.0, np.inf)]:
+        with pytest.raises(ValueError, match="finite and strictly positive"):
+            CostSpec(factor_dims=(1, 1), weights=weights)
 
 
 # ---------------------------------------------------------------------------
@@ -98,23 +90,29 @@ def test_cost_matrix_single_euclidean_power():
     assert np.allclose(c2[:, 0], [9.0, 10.0])
 
 
-def test_cost_matrix_lq_combinator():
-    # product space R x R, atoms chosen so each factor distance is visible
-    src = DiscreteMeasure(np.array([[0.0, 0.0]]))
-    dst = DiscreteMeasure(np.array([[3.0, 4.0]]))
-    l1 = cost_matrix(src, dst, CostSpec(p=1.0, combinator="lq", q=1.0, factor_dims=(1, 1)))
-    l2 = cost_matrix(src, dst, CostSpec(p=1.0, combinator="lq", q=2.0, factor_dims=(1, 1)))
-    assert np.isclose(l1[0, 0], 7.0)
-    assert np.isclose(l2[0, 0], 5.0)
+def test_cost_matrix_weighted_sum_pins_cdist_bits():
+    rng = np.random.default_rng(4)
+    src = DiscreteMeasure(rng.normal(size=(9, 3)))
+    dst = DiscreteMeasure(rng.normal(size=(7, 3)))
+    dx = cdist(src.points[:, :1], dst.points[:, :1])
+    dy = cdist(src.points[:, 1:], dst.points[:, 1:])
+    plain = cost_matrix(src, dst, CostSpec(factor_dims=(1, 2), weights=(1, 1)))
+    assert np.array_equal(plain, dx + dy)
+    a = 2.5
+    weighted = cost_matrix(src, dst, CostSpec(factor_dims=(1, 2), weights=(a, 1)))
+    assert np.array_equal(weighted, a * dx + dy)
+    squared = cost_matrix(src, dst, CostSpec(p=2.0, factor_dims=(1, 2)))
+    assert np.array_equal(squared, (dx + dy) ** 2)
+    assert np.array_equal(cost_matrix(src, dst, CostSpec()), cdist(src.points, dst.points))
 
 
 def test_cost_matrix_alpha_and_scaled():
+    # The two weightings the joint index builds: alpha * d_x + d_y, and each
+    # factor divided by its own scale.
     src = DiscreteMeasure(np.array([[0.0, 0.0]]))
     dst = DiscreteMeasure(np.array([[2.0, 5.0]]))
-    ca = cost_matrix(src, dst, CostSpec(p=1.0, combinator="alpha", alpha=3.0, factor_dims=(1, 1)))
-    cs = cost_matrix(
-        src, dst, CostSpec(p=1.0, combinator="scaled", scales=(2.0, 5.0), factor_dims=(1, 1))
-    )
+    ca = cost_matrix(src, dst, CostSpec(p=1.0, factor_dims=(1, 1), weights=(3.0, 1.0)))
+    cs = cost_matrix(src, dst, CostSpec(p=1.0, factor_dims=(1, 1), weights=(1 / 2.0, 1 / 5.0)))
     assert np.isclose(ca[0, 0], 3.0 * 2.0 + 5.0)
     assert np.isclose(cs[0, 0], 2.0)
 
@@ -125,7 +123,7 @@ def test_cost_matrix_dimension_mismatch():
     with pytest.raises(ValueError, match="mismatch"):
         cost_matrix(a, b, CostSpec())
     with pytest.raises(ValueError, match="dimension"):
-        cost_matrix(a, a, CostSpec(combinator="lq", q=1.0, factor_dims=(2, 2)))
+        cost_matrix(a, a, CostSpec(factor_dims=(2, 2)))
 
 
 def test_product_measure_grid():
