@@ -76,6 +76,24 @@ def test_weights_need_one_finite_positive_value_per_factor():
             CostSpec(factor_dims=(1, 1), weights=weights)
 
 
+def test_alpha_needs_two_factors_and_positive_alpha():
+    # the alpha cost alpha * d_X + d_Y is the weights (alpha, 1) on two factors
+    assert CostSpec(factor_dims=(1, 2), weights=(2.5, 1.0)).weights == (2.5, 1.0)
+    with pytest.raises(ValueError, match="one weight per factor"):
+        CostSpec(factor_dims=(1, 1, 1), weights=(2.5, 1.0))
+    for alpha in [0.0, -1.0, np.nan]:
+        with pytest.raises(ValueError, match="finite and strictly positive"):
+            CostSpec(factor_dims=(1, 1), weights=(alpha, 1.0))
+
+
+def test_scaled_needs_matching_positive_scales():
+    # the scaled cost sum_k s_k * d_k is the weights (s_1, ..., s_K)
+    with pytest.raises(ValueError, match="one weight per factor"):
+        CostSpec(factor_dims=(1, 1), weights=(1.0,))
+    with pytest.raises(ValueError, match="finite and strictly positive"):
+        CostSpec(factor_dims=(1, 1), weights=(1.0, -2.0))
+
+
 # ---------------------------------------------------------------------------
 # Cost matrices
 # ---------------------------------------------------------------------------
