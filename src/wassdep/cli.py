@@ -47,9 +47,12 @@ def _read_rows(path: str) -> tuple[list[str], list[list[str]]]:
                 header = next(reader)
             except StopIteration:
                 raise DataError(f"{path}: empty file") from None
-            return header, list(reader)
+            rows = list(reader)
     except OSError as exc:
         raise DataError(f"{path}: {exc.strerror or exc}") from exc
+    if not rows:
+        raise DataError(f"{path}: no data rows")
+    return header, rows
 
 
 def _parse_cell(rows: list[list[str]], i: int, c: int, width: int) -> float:
@@ -97,8 +100,6 @@ def load_sample(path: str, x_cols: list[int], y_cols: list[int], seed: int = 0) 
     Rows are addressed 1-based (excluding the header) in error messages.
     """
     header, rows = _read_rows(path)
-    if not rows:
-        raise DataError(f"{path}: no data rows")
     for c in x_cols + y_cols:
         if c >= len(header) or c < 0:
             raise DataError(f"column {c} not in file (has {len(header)} columns)")
@@ -109,8 +110,6 @@ def load_sample(path: str, x_cols: list[int], y_cols: list[int], seed: int = 0) 
 def load_cloud(path: str) -> DiscreteMeasure:
     """Read a headered CSV as one point cloud (every column a coordinate)."""
     header, rows = _read_rows(path)
-    if not rows:
-        raise DataError(f"{path}: no data rows")
     (pts,) = _extract(rows, len(header), list(range(len(header))))
     return to_measure(pts)
 
@@ -227,7 +226,6 @@ def _run_index(args) -> str:
             sample,
             estimator=args.estimator,
             variant=args.variant,
-            rng=np.random.default_rng(args.seed),
             p=args.p,
             alpha=args.alpha,
         )
@@ -240,8 +238,7 @@ def _run_index(args) -> str:
     if args.index_kind == "concordance":
         return emit_report(concordance_index(sample, a=args.center, mode=args.mode))
     if args.index_kind == "marti":
-        rng = np.random.default_rng(args.seed)
-        c0, c1 = default_marti_sets(sample, rng)
+        c0, c1 = default_marti_sets(sample)
         spec = CostSpec(p=args.p, factor_dims=(sample.dx, sample.dy))
         value = marti_index(to_measure(sample.joint_rows()), c0, c1, spec)
         return emit_report(

@@ -31,7 +31,7 @@ from .empirical import (
 from .entropic import sinkhorn_discrepancy
 from .exact import _quantile_cost, solve_exact, solve_from_cost
 from .exceptions import DataError, DegenerateMarginalError
-from .measures import CostSpec, DiscreteMeasure
+from .measures import CostSpec, DiscreteMeasure, _quantile_form
 from .report import IndexReport
 
 __all__ = [
@@ -53,15 +53,17 @@ def _transport_power(law: DiscreteMeasure, target: DiscreteMeasure, p: float) ->
 
     A one-point law has only the forced coupling; it reads the target in its
     original order, on which the exact 1.0 of a functional sample depends.
-    Scalar laws take the quantile integral against the target's atoms as
-    sorted once per measure (``_quantile_cost``'s own stable argsort of them
-    is the identity, so no bit changes). Anything else goes to the exact
-    solver, which picks assignment or LP itself.
+    Scalar laws take the quantile integral between the law's quantile form,
+    built for this call, and the target's, built once per measure. The law's
+    form is not kept: in the conditional indices each group law meets the
+    marginal once, so keeping it would only hold a second copy of its atoms
+    for the life of the family. Anything else goes to the exact solver,
+    which picks assignment or LP itself.
     """
     if _is_dirac(law):
         return dirac_transport_cost(law.points[0], target.points, target.weights, p)
     if law.dim == target.dim == 1:
-        return _quantile_cost(law.points[:, 0], law.weights, *target.sorted_first_coordinate, p)
+        return _quantile_cost(*_quantile_form(law.points[:, 0], law.weights), *target.quantile_form, p)
     return solve_exact(law, target, CostSpec(p=p))
 
 

@@ -8,7 +8,6 @@ partitions, mean-discrepancy statistics, and copula/rank normalizations.
 
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass
 
 import numpy as np
@@ -16,7 +15,7 @@ from scipy.optimize import linear_sum_assignment
 from scipy.spatial.distance import cdist
 
 from .exceptions import DataError
-from .measures import CostSpec, DiscreteMeasure, _as_points, _as_weights, cost_matrix, product_measure
+from .measures import CostSpec, DiscreteMeasure, _as_points, _as_weights, cost_matrix, mixture, product_measure
 
 __all__ = [
     "PairedSample",
@@ -154,7 +153,6 @@ def product_estimator(
     sample: PairedSample,
     mode: str = "permute",
     rng: np.random.Generator | None = None,
-    sigma: np.ndarray | None = None,
 ) -> tuple[DiscreteMeasure, DiscreteMeasure]:
     """Estimate (joint law, product of marginals) from one paired sample.
 
@@ -163,7 +161,7 @@ def product_estimator(
         third, the product pairs x from the second third with y from the
         last. Leftover rows when n is not divisible by 3 are dropped.
       - ``permute``: joint on all rows; product pairs x_i with y_{sigma(i)}
-        for a random fixed-point-free permutation (or a caller-supplied one).
+        for a random fixed-point-free permutation sigma drawn from ``rng``.
       - ``full``: joint on all rows; product is the full n^2 atom grid.
     """
     n = sample.n
@@ -177,22 +175,10 @@ def product_estimator(
     if mode == "permute":
         if n < 2:
             raise DataError("permute mode needs at least 2 rows")
-        if sigma is None:
-            if rng is None:
-                rng = np.random.default_rng(sample.seed)
-            sigma = _derangement(n, rng)
-        else:
-            sigma = np.asarray(sigma)
-            if sorted(sigma.tolist()) != list(range(n)):
-                raise DataError("sigma is not a permutation of the row indices")
-            if np.array_equal(sigma, np.arange(n)):
-                warnings.warn(
-                    "identity permutation makes the product estimate coincide "
-                    "with the joint estimate",
-                    stacklevel=2,
-                )
+        if rng is None:
+            rng = np.random.default_rng(sample.seed)
         joint = sample.joint_rows()
-        prod = np.hstack([sample.xs, sample.ys[sigma]])
+        prod = np.hstack([sample.xs, sample.ys[_derangement(n, rng)]])
         return to_measure(joint), to_measure(prod)
     if mode == "full":
         joint = to_measure(sample.joint_rows())
@@ -292,11 +278,7 @@ class ConditionalFamily:
 
     def pooled_marginal(self) -> DiscreteMeasure:
         """Mixture of the group laws with the group weights: the y-marginal."""
-        points = np.vstack([law.points for law in self.laws])
-        weights = np.concatenate(
-            [w * law.weights for law, w in zip(self.laws, self.group_weights)]
-        )
-        return DiscreteMeasure(points, weights)
+        return mixture(self.laws, self.group_weights)
 
 
 def default_bin_count(n: int, x_dim: int) -> int:

@@ -76,18 +76,10 @@ def solve_exact(src: DiscreteMeasure, dst: DiscreteMeasure, spec: CostSpec) -> f
 # ---------------------------------------------------------------------------
 
 
-def _sorted_law(v: np.ndarray, w: np.ndarray) -> tuple[np.ndarray, np.ndarray, int, int]:
-    """Atoms in stable ascending order, their cumulative weights, and the
-    slice ``[lo, hi)`` of ``cw[:-1]`` that lies strictly inside (0, 1)."""
-    order = np.argsort(v, kind="stable")
-    cw = np.cumsum(w[order])
-    lo = int(np.searchsorted(cw[:-1], 0.0, side="right"))
-    hi = int(np.searchsorted(cw[:-1], 1.0, side="left"))
-    return v[order], cw, lo, hi
-
-
-def _quantile_cost(x: np.ndarray, wx: np.ndarray, y: np.ndarray, wy: np.ndarray, p: float) -> float:
-    """Integral of |Fx^{-1} - Fy^{-1}|^p over (0,1) for discrete laws.
+def _quantile_cost(xs: np.ndarray, cwx: np.ndarray, ys: np.ndarray, cwy: np.ndarray, p: float) -> float:
+    """Integral of |Fx^{-1} - Fy^{-1}|^p over (0,1) for two discrete laws,
+    each given as its quantile form: atoms in ascending order and their
+    cumulative weights (``measures._quantile_form``).
 
     Quantiles are the right-continuous generalized inverses; tied atoms stack
     their mass. The integrand is piecewise constant between the merged
@@ -100,8 +92,11 @@ def _quantile_cost(x: np.ndarray, wx: np.ndarray, y: np.ndarray, wy: np.ndarray,
     number of its inner levels merged before t. Only a midpoint that rounds
     onto its left edge, in a segment of zero or one ulp, is searched.
     """
-    xs, cwx, x0, x1 = _sorted_law(x, wx)
-    ys, cwy, y0, y1 = _sorted_law(y, wy)
+    # Each law's inner levels: the slice [lo, hi) of cw[:-1] strictly inside (0, 1).
+    x0 = int(np.searchsorted(cwx[:-1], 0.0, side="right"))
+    x1 = int(np.searchsorted(cwx[:-1], 1.0, side="left"))
+    y0 = int(np.searchsorted(cwy[:-1], 0.0, side="right"))
+    y1 = int(np.searchsorted(cwy[:-1], 1.0, side="left"))
     # Both runs of inner levels are sorted, so inserting x's into y's is
     # their sorted merge; x's level j lands at merged position at[j].
     pos = np.searchsorted(cwy[y0:y1], cwx[x0:x1])
@@ -129,5 +124,4 @@ def wasserstein_1d(src: DiscreteMeasure, dst: DiscreteMeasure, p: float = 1.0) -
         raise ValueError("wasserstein_1d needs one-dimensional measures")
     if p < 1:
         raise ValueError("order p must be >= 1")
-    cost = _quantile_cost(src.points[:, 0], src.weights, dst.points[:, 0], dst.weights, p)
-    return cost ** (1.0 / p)
+    return _quantile_cost(*src.quantile_form, *dst.quantile_form, p) ** (1.0 / p)

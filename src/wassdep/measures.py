@@ -108,14 +108,20 @@ class DiscreteMeasure:
         return cls(pt[None, :], np.array([1.0]))
 
     @cached_property
-    def sorted_first_coordinate(self) -> tuple[np.ndarray, np.ndarray]:
-        """First-coordinate atoms and their weights in stable ascending order.
+    def quantile_form(self) -> tuple[np.ndarray, np.ndarray]:
+        """The first coordinate's law as :func:`_quantile_form` gives it.
 
-        Sorted once per measure, so the quantile route of every transport
+        Built once per measure, so the quantile route of every transport
         problem against this measure reads it instead of sorting again.
         """
-        order = np.argsort(self.points[:, 0], kind="stable")
-        return self.points[order, 0], self.weights[order]
+        return _quantile_form(self.points[:, 0], self.weights)
+
+
+def _quantile_form(values: np.ndarray, weights: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """A scalar law's atoms in stable ascending order and their cumulative
+    weights: the breakpoints and values of its quantile function."""
+    order = np.argsort(values, kind="stable")
+    return values[order], np.cumsum(weights[order])
 
 
 @dataclass(frozen=True)
@@ -205,4 +211,4 @@ def mixture(components: Sequence[DiscreteMeasure], coefficients: Sequence[float]
         raise ValueError("components live in different dimensions")
     points = np.vstack([m.points for m in components])
     weights = np.concatenate([c * m.weights for c, m in zip(coeffs, components)])
-    return DiscreteMeasure(points, weights / weights.sum())
+    return DiscreteMeasure(points, weights)

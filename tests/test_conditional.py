@@ -15,7 +15,7 @@ from wassdep.conditional import (
 from wassdep.empirical import ConditionalFamily, PairedSample, partition, to_measure
 from wassdep.exact import _quantile_cost, solve_exact, solve_from_cost
 from wassdep.exceptions import DataError
-from wassdep.measures import CostSpec, DiscreteMeasure
+from wassdep.measures import CostSpec, DiscreteMeasure, _quantile_form
 
 
 def _tied_sample():
@@ -104,10 +104,13 @@ def _shuffled_tied_sample():
 
 
 def _unsorted_costs(family, marginal, p):
-    """Each group's quantile cost against the marginal in its original order."""
+    """Each group's quantile cost against the marginal, both forms built here
+    from the atoms in their original order."""
     assert not any(np.all(law.points == law.points[0]) for law in family.laws)
-    y, wy = marginal.points[:, 0], marginal.weights
-    return np.array([_quantile_cost(law.points[:, 0], law.weights, y, wy, p) for law in family.laws])
+    target = _quantile_form(marginal.points[:, 0], marginal.weights)
+    return np.array(
+        [_quantile_cost(*_quantile_form(law.points[:, 0], law.weights), *target, p) for law in family.laws]
+    )
 
 
 @pytest.mark.parametrize("p", [1.0, 2.0])
@@ -129,6 +132,19 @@ def test_sorting_the_marginal_once_changes_no_bits(p):
         row_costs[idx] = cost
     expected = float(np.dot(marginal.weights, row_costs))
     assert i_conditional(sample, mode="exact", p=p).numerator == expected
+
+
+def test_bins_mode_sorts_each_group_law_once_and_the_marginal_once(monkeypatch):
+    rng = np.random.default_rng(2)
+    x = rng.normal(size=5000)
+    sample = PairedSample(x, 0.6 * x + 0.8 * rng.normal(size=5000), seed=0)
+    family = partition(sample, "bins")
+    assert family.k == 17 and all(law.n > 1 for law in family.laws)
+    calls = []
+    argsort = np.argsort
+    monkeypatch.setattr(np, "argsort", lambda *a, **kw: calls.append(1) or argsort(*a, **kw))
+    assert i_conditional(sample, "bins").bins == family.k
+    assert len(calls) == family.k + 1
 
 
 @pytest.mark.parametrize("p", [1.0, 2.0])

@@ -19,7 +19,7 @@ from wassdep import (
     to_measure,
 )
 from wassdep.empirical import _snap_to_centers, dirac_transport_cost, rank_grid_values
-from wassdep.measures import cost_matrix
+from wassdep.measures import cost_matrix, mixture
 
 
 def test_paired_sample_shapes_and_errors():
@@ -117,18 +117,6 @@ def test_permute_mode_is_a_derangement_of_y():
     assert not np.any(sigma == np.arange(50))
 
 
-def test_permute_mode_accepts_explicit_sigma_and_warns_on_identity():
-    xs = np.arange(4.0)
-    ys = np.arange(4.0)
-    sample = PairedSample(xs, ys)
-    _, prod = product_estimator(sample, "permute", sigma=np.array([1, 0, 3, 2]))
-    assert np.allclose(prod.points[:, 1], [1, 0, 3, 2])
-    with pytest.warns(UserWarning, match="identity"):
-        product_estimator(sample, "permute", sigma=np.arange(4))
-    with pytest.raises(DataError, match="permutation"):
-        product_estimator(sample, "permute", sigma=np.array([0, 0, 1, 2]))
-
-
 def test_full_mode_builds_the_whole_grid():
     sample = PairedSample([0.0, 1.0], [10.0, 20.0])
     joint, prod = product_estimator(sample, "full")
@@ -208,6 +196,18 @@ def test_pooled_marginal_total_mass_and_support():
     pooled = family.pooled_marginal()
     assert pooled.weights.sum() == pytest.approx(1.0)
     assert np.allclose(np.sort(pooled.points[:, 0]), [5, 6, 7, 8])
+
+
+@pytest.mark.parametrize("n", [50, 1000, 200_000])
+@pytest.mark.parametrize("snap_y", [False, True])
+def test_pooled_marginal_is_the_mixture_of_the_group_laws(n, snap_y):
+    rng = np.random.default_rng(n)
+    x = rng.normal(size=n)
+    family = partition(PairedSample(x, 0.6 * x + rng.normal(size=n)), "bins", snap_y=snap_y)
+    pooled = family.pooled_marginal()
+    mixed = mixture(family.laws, family.group_weights)
+    assert np.array_equal(pooled.points, mixed.points)
+    assert np.array_equal(pooled.weights, mixed.weights)
 
 
 def test_default_bin_count_rules():

@@ -1,4 +1,5 @@
-"""Every name a module imports is used in that module, and the CLI imports lightly."""
+"""Every name a module imports is used in that module, every private helper
+is used somewhere in the package, and the CLI imports lightly."""
 
 import ast
 import os
@@ -23,6 +24,32 @@ def test_no_unused_imports(path):
             imported |= {(a.asname or a.name).split(".")[0] for a in node.names}
     used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
     assert sorted(imported - used) == []
+
+
+def _top_level_names(tree: ast.Module) -> set[str]:
+    names = set()
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            names.add(node.name)
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            names |= {t.id for t in targets if isinstance(t, ast.Name)}
+    return names
+
+
+def test_every_private_helper_is_used():
+    # A private name nothing reads is a leftover of a helper that was replaced.
+    trees = [ast.parse(p.read_text()) for p in PACKAGE.glob("*.py")]
+    defined = {name for tree in trees for name in _top_level_names(tree)}
+    private = {name for name in defined if name.startswith("_") and not name.startswith("__")}
+    used = set()
+    for tree in trees:
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+                used.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                used.add(node.attr)
+    assert sorted(private - used) == []
 
 
 def test_cli_import_leaves_scipy_stats_unloaded():

@@ -165,6 +165,15 @@ def test_mixture_weights_and_errors():
         mixture([a], [])
 
 
+def test_mixture_accepts_coefficients_within_the_weight_tolerance():
+    a = DiscreteMeasure(np.array([0.0]))
+    b = DiscreteMeasure(np.array([1.0, 2.0]))
+    mix = mixture([a, b], [0.3, 0.7 + 0.9e-9])
+    assert mix.weights.sum() == pytest.approx(1.0, abs=1e-15)
+    with pytest.raises(ValueError):
+        mixture([a, b], [0.3, 0.7 + 1.1e-9])
+
+
 def test_cost_matrix_beyond_physical_memory_is_refused(monkeypatch):
     m = DiscreteMeasure(np.random.default_rng(0).normal(size=(100, 2)))
     monkeypatch.setattr(measures, "PHYSICAL_MEMORY", 100 * 100 * 8)

@@ -12,7 +12,8 @@ import numpy as np
 import pytest
 
 from wassdep.empirical import PairedSample, partition, to_measure
-from wassdep.exact import _quantile_cost
+from wassdep.exact import _quantile_cost, wasserstein_1d
+from wassdep.measures import DiscreteMeasure, _quantile_form
 
 
 def _reference_quantile_cost(x: np.ndarray, wx: np.ndarray, y: np.ndarray, wy: np.ndarray, p: float) -> float:
@@ -41,8 +42,9 @@ def _reference_quantile_cost(x: np.ndarray, wx: np.ndarray, y: np.ndarray, wy: n
 
 def _assert_same_bits(x, wx, y, wy):
     for p in (1.0, 2.0, 3.0):
-        for args in ((x, wx, y, wy), (y, wy, x, wx)):
-            assert _quantile_cost(*args, p) == _reference_quantile_cost(*args, p)
+        for a, wa, b, wb in ((x, wx, y, wy), (y, wy, x, wx)):
+            cost = _quantile_cost(*_quantile_form(a, wa), *_quantile_form(b, wb), p)
+            assert cost == _reference_quantile_cost(a, wa, b, wb, p)
 
 
 def test_every_bins_group_of_a_large_sample_matches_the_reference():
@@ -52,12 +54,15 @@ def test_every_bins_group_of_a_large_sample_matches_the_reference():
     y = rho * x + math.sqrt(1.0 - rho * rho) * rng.standard_normal(n)
     sample = PairedSample(x, y)
     family = partition(sample, "bins")
-    target = to_measure(sample.ys).sorted_first_coordinate
+    marginal = to_measure(sample.ys)
+    y, wy = marginal.points[:, 0], marginal.weights
+    target = _quantile_form(y, wy)
     assert family.k > 40
     for p in (1.0, 2.0, 3.0):
         for law in family.laws:
-            args = (law.points[:, 0], law.weights, *target, p)
-            assert _quantile_cost(*args) == _reference_quantile_cost(*args)
+            x, wx = law.points[:, 0], law.weights
+            cost = _quantile_cost(*_quantile_form(x, wx), *target, p)
+            assert cost == _reference_quantile_cost(x, wx, y, wy, p)
 
 
 def _small_law(rng, kind):
@@ -130,3 +135,16 @@ def test_shifted_and_scaled_data_match_the_reference(offset, scale):
         x = offset + scale * rng.normal(size=n)
         y = offset + scale * np.round(rng.normal(size=m), 1)
         _assert_same_bits(x, rng.dirichlet(np.ones(n)), y, np.full(m, 1.0 / m))
+
+
+def test_wasserstein_1d_is_the_reference_root_on_unsorted_tied_and_weighted_laws():
+    rng = np.random.default_rng(5)
+    one = DiscreteMeasure(np.array([0.5]))
+    laws = [one, DiscreteMeasure(np.array([3.0, -1.0, 0.0, 2.0]), np.array([0.0, 0.25, 0.75, 0.0]))]
+    for kind in ("uniform", "tied", "weighted", "zeros"):
+        laws += [DiscreteMeasure(*_small_law(rng, kind)) for _ in range(10)]
+    for p in (1.0, 2.0, 3.0):
+        for a in laws:
+            for b in laws[::7]:
+                ref = _reference_quantile_cost(a.points[:, 0], a.weights, b.points[:, 0], b.weights, p)
+                assert wasserstein_1d(a, b, p) == ref ** (1 / p)
