@@ -59,8 +59,6 @@ def _parse_cell(rows: list[list[str]], i: int, c: int, width: int) -> float:
     row = rows[i]
     if len(row) != width:
         raise DataError(f"row {i + 1}: expected {width} fields, found {len(row)}")
-    if c >= len(row):
-        raise DataError(f"row {i + 1}: missing column {c}")
     try:
         value = float(row[c])
     except ValueError:

@@ -80,6 +80,7 @@ def d_conditional(family: ConditionalFamily, p: float = 1.0) -> float:
     coupling, quantile integral for scalar y, or the exact solver). Zero iff
     every group law equals the marginal.
     """
+    CostSpec(p=p)  # the one check on p: ValueError unless p >= 1
     return _family_power(family, family.pooled_marginal(), p) ** (1.0 / p)
 
 
@@ -105,8 +106,6 @@ def i_conditional(
     groups x into cubes and divides by the unbiased pair statistic. Both
     modes reject p < 1, as every transport cost does.
     """
-    if mode not in ("exact", "bins"):
-        raise ValueError(f"unknown partition mode {mode!r}")
     CostSpec(p=p)  # the one check on p: ValueError unless p >= 1
     family = partition(sample, mode, phi=phi, snap_y=snap_y)
     marginal = family.pooled_marginal() if snap_y else to_measure(sample.ys)
@@ -158,6 +157,7 @@ def w_lipschitz_estimate(family: ConditionalFamily, p: float = 1.0) -> float:
     """Largest observed ratio W_p(law_g, law_h) / |x_g - x_h| over group
     pairs with distinct representatives: an empirical lower bound on the
     conditional law's modulus of continuity."""
+    CostSpec(p=p)  # the one check on p: ValueError unless p >= 1
     k = family.k
     if k < 2:
         raise DataError("need at least 2 groups")

@@ -110,6 +110,7 @@ def gmd_plugin(measure: DiscreteMeasure, p: float = 1.0) -> float:
     reduction as an all-dirac conditional numerator, so the two agree bit for
     bit on a functional sample.
     """
+    CostSpec(p=p)  # the one check on p: ValueError unless p >= 1
     rows = np.array(
         [
             dirac_transport_cost(measure.points[i], measure.points, measure.weights, p)

@@ -40,7 +40,7 @@ def logsumexp(a: np.ndarray, axis: int) -> np.ndarray:
     return (np.log1p(s) + np.log(m) + amax).squeeze(axis)
 
 
-def _dual_sweeps(
+def _sweeps(
     cost: np.ndarray,
     log_a: np.ndarray,
     log_b: np.ndarray,
@@ -50,51 +50,32 @@ def _dual_sweeps(
     max_iter: int,
     f: np.ndarray,
     g: np.ndarray,
+    symmetric: bool,
 ) -> tuple[np.ndarray, np.ndarray, float, bool]:
-    """Alternate dual updates at one regularization level.
+    """Dual updates at one regularization level.
 
-    After a g-update the plan's column sums are exact, and its i-th row sum
-    equals ``a_i * exp((f_i - f_i') / eps)`` where f' is the next f-update.
-    The stopping test therefore costs nothing beyond the updates themselves.
+    With the plan built from (f, g), its i-th row sum equals
+    ``a_i * exp((f_i - f_i') / eps)`` where f' is the next f-update, so the
+    stopping test costs nothing beyond the updates themselves. Two measures
+    alternate f- and g-updates, after which the column sums are exact. A
+    self-transport problem (equal marginals, symmetric cost) keeps g = f and
+    averages each f-update, which removes the zigzag that alternating
+    updates make around the shared optimum.
     """
     violation = np.inf
-    for it in range(max_iter):
-        new_f = -eps * logsumexp(log_b[None, :] + (g[None, :] - cost) / eps, axis=1)
-        if it:
-            violation = float(np.abs(a * np.expm1((f - new_f) / eps)).max())
-            if violation <= tol:
-                return f, g, violation, True
-        f = new_f
-        g = -eps * logsumexp(log_a[:, None] + (f[:, None] - cost) / eps, axis=0)
+    with np.errstate(over="ignore"):  # at tiny eps the violation overflows to inf: unmet
+        for it in range(max_iter):
+            new_f = -eps * logsumexp(log_b[None, :] + (g[None, :] - cost) / eps, axis=1)
+            if it:
+                violation = float(np.abs(a * np.expm1((f - new_f) / eps)).max())
+                if violation <= tol:
+                    return f, g, violation, True
+            if symmetric:
+                f = g = 0.5 * (f + new_f)
+            else:
+                f = new_f
+                g = -eps * logsumexp(log_a[:, None] + (f[:, None] - cost) / eps, axis=0)
     return f, g, violation, False
-
-
-def _symmetric_sweeps(
-    cost: np.ndarray,
-    log_a: np.ndarray,
-    a: np.ndarray,
-    eps: float,
-    tol: float,
-    max_iter: int,
-    f: np.ndarray,
-) -> tuple[np.ndarray, float, bool]:
-    """Averaged fixed-point updates for a self-transport problem.
-
-    With equal marginals and a symmetric cost the two potentials agree at
-    the optimum, but alternating updates zigzag around it; averaging each
-    update removes the oscillation. The row sums of the plan built from
-    (f, f) equal ``a_i * exp((f_i - mapped_i) / eps)``, which gives the
-    stopping test for free.
-    """
-    violation = np.inf
-    for it in range(max_iter):
-        mapped = -eps * logsumexp(log_a[None, :] + (f[None, :] - cost) / eps, axis=1)
-        if it:
-            violation = float(np.abs(a * np.expm1((f - mapped) / eps)).max())
-            if violation <= tol:
-                return f, violation, True
-        f = 0.5 * (f + mapped)
-    return f, violation, False
 
 
 def _sinkhorn_potentials(
@@ -115,20 +96,13 @@ def _sinkhorn_potentials(
     """
     a = np.exp(log_a)
     spread = float(cost.max() - cost.min()) if cost.size else 0.0
-
-    def sweeps(level, level_tol, budget, f, g):
-        if symmetric:
-            f, violation, done = _symmetric_sweeps(cost, log_a, a, level, level_tol, budget, f)
-            return f, f, violation, done
-        return _dual_sweeps(cost, log_a, log_b, a, level, level_tol, budget, f, g)
-
     f = np.zeros(cost.shape[0])
     g = np.zeros(cost.shape[1])
     level = spread / 8.0
     while level > eps * 4.0:
-        f, g, _, _ = sweeps(level, 1e-3, 200, f, g)
+        f, g, _, _ = _sweeps(cost, log_a, log_b, a, level, 1e-3, 200, f, g, symmetric)
         level /= 4.0
-    f, g, violation, done = sweeps(eps, tol, max_iter, f, g)
+    f, g, violation, done = _sweeps(cost, log_a, log_b, a, eps, tol, max_iter, f, g, symmetric)
     if not done:
         raise SinkhornConvergenceError(
             f"marginal violation {violation:.3e} after {max_iter} iterations "
@@ -152,10 +126,13 @@ def sinkhorn_discrepancy(
 
     Returns the value of the regularized objective: the plain transport
     cost ``<plan, d^p>`` plus the scaled KL penalty, which for the optimal
-    plan equals ``<plan, f + g>`` by the dual optimality conditions.
+    plan equals ``<plan, f + g>`` by the dual optimality conditions. Raises
+    :class:`SinkhornConvergenceError` unless both marginals of the plan lie
+    within ``2 * tol``: at tiny eps the potentials can round onto a fixed
+    point that the stopping test alone would accept.
     """
-    if eps <= 0:
-        raise ValueError("regularization strength eps must be positive")
+    if not 0 < eps < np.inf:
+        raise ValueError("regularization strength eps must be a finite positive real")
     if spec is None:
         spec = CostSpec(p=2.0)
     cost = cost_matrix(src, dst, spec)
@@ -169,7 +146,13 @@ def sinkhorn_discrepancy(
     )
     f, g, _ = _sinkhorn_potentials(cost, log_a, log_b, eps, tol, max_iter, symmetric)
     log_plan = log_a[:, None] + log_b[None, :] + (f[:, None] + g[None, :] - cost) / eps
-    plan = np.exp(log_plan)
+    with np.errstate(over="ignore"):  # an overflowing plan fails the check below
+        plan = np.exp(log_plan)
+    misses = np.concatenate([plan.sum(axis=1) - src.weights, plan.sum(axis=0) - dst.weights])
+    violation = float(np.abs(misses).max())
+    if not violation <= 2 * tol:  # a nan fails too
+        message = f"plan misses its marginals by {violation:.3e} at eps {eps:.3e} (tol {tol:.1e})"
+        raise SinkhornConvergenceError(message, achieved_violation=violation, eps=eps)
     # KL(plan | a x b) = <plan, (f + g - cost)/eps>, hence the tidy value below.
     value = float(np.sum(plan * (f[:, None] + g[None, :])))
     return max(value, 0.0)

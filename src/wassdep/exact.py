@@ -122,6 +122,5 @@ def wasserstein_1d(src: DiscreteMeasure, dst: DiscreteMeasure, p: float = 1.0) -
     """L^p distance between the empirical quantile functions of two 1D laws."""
     if src.dim != 1 or dst.dim != 1:
         raise ValueError("wasserstein_1d needs one-dimensional measures")
-    if p < 1:
-        raise ValueError("order p must be >= 1")
+    CostSpec(p=p)  # the one check on p: ValueError unless p >= 1
     return _quantile_cost(*src.quantile_form, *dst.quantile_form, p) ** (1.0 / p)

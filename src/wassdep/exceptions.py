@@ -20,7 +20,8 @@ class DegenerateMarginalError(WassdepError, ValueError):
 
 
 class SinkhornConvergenceError(WassdepError, RuntimeError):
-    """Scaling iterations hit max_iter before the marginal tolerance.
+    """Scaling iterations hit max_iter before the marginal tolerance, or the
+    plan they return misses a marginal by more than twice that tolerance.
 
     Carries the best marginal violation achieved, and the regularization
     ``eps`` at which it was reached, so callers can decide whether to retry

@@ -58,8 +58,6 @@ def i_joint(
     The raw ratio is reported even when sampling noise pushes it above 1;
     the report carries an exceedance flag instead of clipping.
     """
-    if rng is None:
-        rng = np.random.default_rng(sample.seed)
     dims = (sample.dx, sample.dy)
     if variant == "scaled_metric":
         if alpha is not None:
@@ -129,8 +127,6 @@ def d_joint_entropic(
     and product estimates. Nonnegative; vanishes (within solver tolerance)
     when the sample is an exact product law. Extra keyword arguments (tol,
     max_iter) reach the solver; deep regularization needs a looser tol."""
-    if rng is None:
-        rng = np.random.default_rng(sample.seed)
     joint, product = product_estimator(sample, estimator, rng)
     return sinkhorn_divergence(joint, product, eps, spec, **solver_options)
 
@@ -160,8 +156,6 @@ def default_marti_sets(
     the observed marginals as the maximal-dependence witnesses."""
     if sample.dx != 1 or sample.dy != 1:
         raise DataError("default candidate sets are defined for 1D pairs")
-    if rng is None:
-        rng = np.random.default_rng(sample.seed)
     _, product = product_estimator(sample, "permute", rng)
     xs = np.sort(sample.xs[:, 0])
     ys = np.sort(sample.ys[:, 0])

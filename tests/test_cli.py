@@ -3,6 +3,7 @@
 import json
 import subprocess
 import sys
+import warnings
 
 import numpy as np
 import pytest
@@ -372,3 +373,26 @@ def test_cost_matrix_beyond_memory_exits_1(tmp_path, capsys, monkeypatch):
     code, out, err = _run(capsys, argv)
     assert (code, out) == (1, "")
     assert "100 x 100 cost matrix needs 80000 bytes" in err
+
+
+@pytest.mark.parametrize("eps", ["nan", "inf"])
+def test_non_finite_epsilon_exits_1_without_warnings(tmp_path, capsys, eps):
+    first = _write_cloud(tmp_path / "a.csv", seed=1)
+    second = _write_cloud(tmp_path / "b.csv", seed=2, shift=1.0)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code, out, err = _run(capsys, ["ot", str(first), str(second), "--epsilon", eps])
+    assert code == 1
+    assert out == ""
+    assert err.splitlines() == ["error: regularization strength eps must be a finite positive real"]
+
+
+@pytest.mark.parametrize("seed", [1, 3])  # at seed 3 the plan's exp overflows
+def test_entropic_plan_off_its_marginals_exits_1(tmp_path, capsys, seed):
+    first = _write_cloud(tmp_path / "a.csv", seed=seed)
+    second = _write_cloud(tmp_path / "b.csv", seed=seed + 1, shift=1.0)
+    code, out, err = _run(capsys, ["ot", str(first), str(second), "--epsilon", "1e-300"])
+    assert code == 1
+    assert out == ""
+    assert len(err.splitlines()) == 1
+    assert err.startswith("error: plan misses its marginals")

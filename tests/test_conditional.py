@@ -12,8 +12,8 @@ from wassdep.conditional import (
     i_conditional,
     w_lipschitz_estimate,
 )
-from wassdep.empirical import ConditionalFamily, PairedSample, partition, to_measure
-from wassdep.exact import _quantile_cost, solve_exact, solve_from_cost
+from wassdep.empirical import ConditionalFamily, PairedSample, gmd_plugin, partition, to_measure
+from wassdep.exact import _quantile_cost, solve_exact, solve_from_cost, wasserstein_1d
 from wassdep.exceptions import DataError
 from wassdep.measures import CostSpec, DiscreteMeasure, _quantile_form
 
@@ -278,3 +278,23 @@ def test_order_below_one_is_rejected_in_both_modes(mode):
     with pytest.raises(ValueError, match="p must be"):
         i_conditional(_tied_sample(), mode=mode, p=0.5)
 
+
+def _order_calls(p):
+    rng = np.random.default_rng(0)
+    sample = PairedSample(np.repeat([0.0, 1.0, 2.0], 4), rng.normal(size=12), seed=0)
+    family = partition(sample, "exact")
+    law = to_measure(sample.ys)
+    return {
+        "wasserstein_1d": lambda: wasserstein_1d(law, family.laws[0], p),
+        "d_conditional": lambda: d_conditional(family, p),
+        "w_lipschitz_estimate": lambda: w_lipschitz_estimate(family, p),
+        "gmd_plugin": lambda: gmd_plugin(law, p),
+    }
+
+
+@pytest.mark.parametrize("p", [0.5, np.nan, np.inf])
+@pytest.mark.parametrize("name", ["wasserstein_1d", "d_conditional", "w_lipschitz_estimate", "gmd_plugin"])
+def test_public_entry_points_reject_a_bad_order(name, p):
+    """Every order outside [1, inf) is refused, as CostSpec refuses it."""
+    with pytest.raises(ValueError, match="cost exponent p"):
+        _order_calls(p)[name]()

@@ -13,6 +13,7 @@ from wassdep import (
     solve_exact,
     to_measure,
 )
+from wassdep import entropic
 from wassdep.entropic import _sinkhorn_potentials, logsumexp
 
 
@@ -186,3 +187,43 @@ def test_deep_regularization_stays_finite_in_log_domain():
     assert np.isfinite(value)
     plan, _ = _rebuilt_plan(src, dst, 1e-3 * med, spec, tol=1e-4, max_iter=200_000)
     assert np.all(np.isfinite(plan))
+
+
+@pytest.mark.parametrize("eps", [np.nan, np.inf])
+def test_rejects_non_finite_eps_before_any_sweep(eps, monkeypatch):
+    src, dst = _instance(9)
+    monkeypatch.setattr(entropic, "cost_matrix", None)  # refused before the cost is built
+    with pytest.raises(ValueError, match="finite positive"):
+        sinkhorn_discrepancy(src, dst, eps=eps)
+
+
+def test_sweep_work_is_one_update_for_self_transport_and_two_otherwise(monkeypatch):
+    """5 sweeps make 5 log-sum-exps on a self-transport problem (g = f, no
+    g-update) and 10 on a two-measure problem."""
+    calls = []
+
+    def counted(a, axis):
+        calls.append(axis)
+        return logsumexp(a, axis)
+
+    monkeypatch.setattr(entropic, "logsumexp", counted)
+    src, dst = _instance(3, n=8, m=7)
+    for target, symmetric, want in ((src, True, 5), (dst, False, 10)):
+        calls.clear()
+        with pytest.raises(SinkhornConvergenceError):  # eps = 100 is above every ladder level
+            _rebuilt_plan(src, target, 100.0, tol=1e-300, max_iter=5, symmetric=symmetric)
+        assert len(calls) == want
+
+
+def test_plan_that_misses_its_marginals_is_refused():
+    """At tiny eps the potentials round onto a fixed point that passes the
+    stopping test; the returned plan's own marginals are checked instead."""
+    rng0, rng1 = np.random.default_rng(0), np.random.default_rng(1)
+    src, dst = to_measure(rng0.normal(size=(6, 2))), to_measure(rng1.normal(size=(5, 2)))
+    assert sinkhorn_discrepancy(src, dst, eps=1e-8) >= solve_exact(src, dst, CostSpec(p=2.0))
+    for eps in (1e-16, 1e-300):
+        with pytest.raises(SinkhornConvergenceError) as err:
+            sinkhorn_discrepancy(src, dst, eps=eps)
+        assert err.value.eps == eps
+        assert err.value.achieved_violation > 0.1
+        assert "misses its marginals" in str(err.value)
