@@ -69,46 +69,113 @@ def _parse_cell(rows: list[list[str]], i: int, c: int, width: int) -> float:
 
 
 def _extract(rows: list[list[str]], width: int, *groups: list[int]) -> list[np.ndarray]:
-    """One float array per group of column indices, each (rows, len(group)).
-
-    A table whose rows all have the header's width converts in one pass: an
-    object table, then the requested columns, then ``float()`` of each of
-    their cells, so unrequested columns may hold anything. When that fails or
-    a requested cell is not finite, a cell-by-cell scan, group after group,
-    reports the first bad cell by its row and column.
-    """
-    if all(len(row) == width for row in rows):
-        table = np.array(rows, dtype=object)
-        try:
-            picked = [table[:, cols].astype(float) for cols in groups]
-        except ValueError:
-            pass
-        else:
-            if all(np.isfinite(part).all() for part in picked):
-                return picked
+    """One float array per group of column indices, each (rows, len(group)),
+    scanned cell by cell, group after group, so the first bad cell is
+    reported by its row and column."""
     return [
         np.array([[_parse_cell(rows, i, c, width) for c in cols] for i in range(len(rows))])
         for cols in groups
     ]
 
 
+def _table_shape(raw: bytes) -> tuple[int, int] | None:
+    """Header width and data row count of a file that ``csv`` and numpy's
+    reader split into the same rows and fields, or None.
+
+    That holds when the file has no quote and no bare carriage return, at
+    least one data row, no blank line, no line longer than ``csv``'s field
+    limit, and the same number of commas on every line. Whole-buffer scans
+    decide it; a multi-byte UTF-8 character holds no newline or comma byte.
+    numpy also strips the separators 0x1c-0x1f around a number, which
+    ``float()`` refuses, so a file holding one is left to the scan.
+    """
+    if b"\r" in raw:
+        raw = raw.replace(b"\r\n", b"\n")
+    if any(byte in raw for byte in (b'"', b"\r", b"\x1c", b"\x1d", b"\x1e", b"\x1f")):
+        return None
+    buf = np.frombuffer(raw, dtype=np.uint8)
+    ends = np.flatnonzero(buf == ord("\n"))
+    if not raw.endswith(b"\n"):
+        ends = np.append(ends, len(raw))
+    if len(ends) < 2:
+        return None
+    lengths = np.diff(ends, prepend=-1) - 1
+    commas = np.diff(np.searchsorted(np.flatnonzero(buf == ord(",")), ends), prepend=0)
+    if lengths.min() == 0 or lengths.max() > csv.field_size_limit() or (commas != commas[0]).any():
+        return None
+    return int(commas[0]) + 1, len(ends) - 1
+
+
+def _read_fast(path: str, groups: list[list[int]] | None) -> list[np.ndarray] | None:
+    """The requested columns through numpy's C reader, or None wherever the
+    per-cell scan might read the file differently or reject it."""
+    try:
+        with open(path, "rb") as fh:
+            shape = _table_shape(fh.read())
+    except OSError:
+        return None
+    if shape is None:
+        return None
+    width, n_rows = shape
+    if groups is None:
+        groups = [list(range(width))]
+    cols = sorted({c for g in groups for c in g})
+    # numpy would fetch a name with a scheme, such as http://, as a URL.
+    if not cols or cols[0] < 0 or cols[-1] >= width or "://" in path:
+        return None
+    try:
+        table = np.loadtxt(
+            path,
+            delimiter=",",
+            skiprows=1,
+            usecols=cols,
+            ndmin=2,
+            comments=None,
+            encoding="utf-8",
+        )
+    except (OSError, ValueError):
+        # Cells that float() reads but numpy does not ("1_000", quoted or
+        # non-ASCII digits), and bytes that are not UTF-8.
+        return None
+    if len(table) != n_rows or not np.isfinite(table).all():
+        return None
+    return [table[:, [cols.index(c) for c in g]] for g in groups]
+
+
+def _read_columns(path: str, groups: list[list[int]] | None) -> list[np.ndarray]:
+    """One float array per group of column indices (None: every column),
+    from numpy's C reader when it reads the file as the per-cell scan would,
+    else from the scan."""
+    fast = _read_fast(path, groups)
+    if fast is not None:
+        return fast
+    header, rows = _read_rows(path)
+    if groups is None:
+        groups = [list(range(len(header)))]
+    for cols in groups:
+        for c in cols:
+            if c >= len(header) or c < 0:
+                raise DataError(f"column {c} not in file (has {len(header)} columns)")
+    return _extract(rows, len(header), *groups)
+
+
 def load_sample(path: str, x_cols: list[int], y_cols: list[int], seed: int = 0) -> PairedSample:
     """Read a headered CSV and split the requested columns into a pair.
 
-    Rows are addressed 1-based (excluding the header) in error messages.
+    Two paths read it. numpy's C reader takes a file whose rows all have the
+    header's width and whose requested cells are finite numbers it parses.
+    Any other file (quotes, blank lines, ragged rows, non-finite cells, cells
+    only ``float()`` reads) goes to ``csv`` and a per-cell ``float()`` scan,
+    which returns the same values or raises the error that names the first
+    bad row, 1-based excluding the header, and column.
     """
-    header, rows = _read_rows(path)
-    for c in x_cols + y_cols:
-        if c >= len(header) or c < 0:
-            raise DataError(f"column {c} not in file (has {len(header)} columns)")
-    xs, ys = _extract(rows, len(header), x_cols, y_cols)
+    xs, ys = _read_columns(path, [x_cols, y_cols])
     return PairedSample(xs, ys, seed=seed)
 
 
 def load_cloud(path: str) -> DiscreteMeasure:
     """Read a headered CSV as one point cloud (every column a coordinate)."""
-    header, rows = _read_rows(path)
-    (pts,) = _extract(rows, len(header), list(range(len(header))))
+    (pts,) = _read_columns(path, None)
     return to_measure(pts)
 
 

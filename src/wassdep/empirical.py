@@ -332,6 +332,8 @@ def partition(
             phi = default_bin_count(n, sample.dx)
         if phi < 1:
             raise DataError("bin count must be at least 1")
+        if phi > 2**53:
+            raise DataError("bin count must be at most 2**53, the largest integer a float holds exactly")
         keys = _snap_to_centers(sample.xs, phi)
     else:
         raise ValueError(f"unknown partition mode {mode!r}")

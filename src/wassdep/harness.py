@@ -242,6 +242,8 @@ def rate_experiment(
     sizes = tuple(sizes) if sizes is not None else exp.sizes
     if len(set(sizes)) < 2:
         raise DataError("need at least 2 distinct sizes")
+    if replicates < 1:
+        raise DataError(f"replicates must be at least 1, got {replicates}")
     rng = np.random.default_rng(seed)
     streams = rng.spawn(len(sizes) * replicates)
     errors = np.empty((len(sizes), replicates))
@@ -310,6 +312,8 @@ def discontinuity_demo(n: int = 1000, seed: int = 0) -> dict:
     conditional family and its decoupled version, the quantity whose
     topology the plug-in estimator fails to respect.
     """
+    if n < 1:
+        raise DataError(f"n must be at least 1, got {n}")
     rng = np.random.default_rng(seed)
     sample = PairedSample(rng.random(n), rng.random(n), seed=seed)
     if len(np.unique(sample.xs[:, 0])) != n:

@@ -1,6 +1,7 @@
 """End-to-end command-line checks: exit codes, schemas, and byte stability."""
 
 import json
+import re
 import subprocess
 import sys
 import warnings
@@ -231,6 +232,98 @@ def test_loaded_values_equal_float_of_each_cell(tmp_path):
     assert np.array_equal(np.signbit(sample.xs[:, 0]), np.signbit(expected[:, 0]))
 
 
+# Files on which numpy's C reader and the per-cell scan could disagree. The
+# loaders must return the scan's values or raise its error on each.
+READER_CASES = {
+    "blank_line_at_end": ("x,y\n1.0,2.0\n4.0,5.0\n\n", "row 3: expected 2 fields, found 0"),
+    "blank_line_crlf": ("x,y\r\n1.0,2.0\r\n\r\n4.0,5.0\r\n", "row 2: expected 2 fields, found 0"),
+    "carriage_return_blank_line": ("x,y\n1.0,2.0\n\r4.0,5.0\n", "row 2: expected 2 fields, found 0"),
+    "hash_row": ("x,y\n1.0,2.0\n#4.0,5.0\n", "row 2, column 0: not numeric: '#4.0'"),
+    "hash_after_value": ("x,y\n1.0,2.0 # note\n", "row 1, column 1: not numeric: '2.0 # note'"),
+    "hash_header": ("#x,y\n1.0,2.0\n", [[1.0, 2.0]]),
+    "wider_row": ("x,y\n1.0,2.0\n4.0,5.0,6.0\n", "row 2: expected 2 fields, found 3"),
+    "wider_and_narrower": ("x,y,z\n1,2,3,4\n5,6\n7,8,9\n", "row 1: expected 3 fields, found 4"),
+    "nan": ("x,y\n" + "1.0,2.0\n" * 11 + "nan,3.5\n", "row 12, column 0: not finite: 'nan'"),
+    "inf": ("x,y\n1.0,inf\n", "row 1, column 1: not finite: 'inf'"),
+    "overflow": ("x,y\n1.0,2.0\n1e400,3.5\n", "row 2, column 0: not finite: '1e400'"),
+    "quoted": ('x,y\n"1.5",2\n3,"-0"\n', [[1.5, 2.0], [3.0, -0.0]]),
+    "underscore": ("x,y\n1_000,2\n", [[1000.0, 2.0]]),
+    "arabic_indic_digits": ("x,y\n١٢٣.٥,2\n", [[123.5, 2.0]]),
+    "file_separator_byte": ("x,y\n1.0,\x1c2.0\n", "row 1, column 1: not numeric: '\\x1c2.0'"),
+    "header_only": ("x,y\n", "no data rows"),
+    "header_only_no_newline": ("x,y", "no data rows"),
+    "crlf": ("x,y\r\n1.5,-0\r\n2,3\r\n", [[1.5, -0.0], [2.0, 3.0]]),
+    "no_final_newline": ("x,y\n1.5,-0\n2,3", [[1.5, -0.0], [2.0, 3.0]]),
+    "bare_carriage_returns": ("x,y\r1.5,-0\r2,3\r", [[1.5, -0.0], [2.0, 3.0]]),
+}
+
+
+@pytest.mark.parametrize("case", sorted(READER_CASES))
+def test_loaders_agree_with_the_per_cell_scan(tmp_path, case):
+    text, expected = READER_CASES[case]
+    data = tmp_path / "case.csv"
+    data.write_bytes(text.encode("utf-8"))
+    loaders = [
+        lambda: load_sample(str(data), [0], [1]).joint_rows(),
+        lambda: load_cloud(str(data)).points,
+    ]
+    for load in loaders:
+        if isinstance(expected, str):
+            with pytest.raises(DataError, match=re.escape(expected)):
+                load()
+        else:
+            got = load()
+            assert np.array_equal(got, expected)
+            assert np.array_equal(np.signbit(got), np.signbit(expected))
+
+
+SAMPLE_CASES = {
+    "one_column_blank_line": ("x\n1.0\n\n2.0\n", [0], "row 2: expected 1 fields, found 0"),
+    "one_column_space_line": ("x\n1.0\n  \n2.0\n", [0], "row 2, column 0: not numeric: '  '"),
+    "blank_header_line": ("\n1.0\n2.0\n", [0], "column 0 not in file (has 0 columns)"),
+    # Each physical line has the header's comma count, but csv reads one
+    # quoted cell across the first two.
+    "quoted_newline_in_unrequested_column": (
+        'x,label,y\n1.0,"a,3.0\n4.0,b",2.0\n5.0,c,6.0\n',
+        [2],
+        [[1.0, 2.0], [5.0, 6.0]],
+    ),
+}
+
+
+@pytest.mark.parametrize("case", sorted(SAMPLE_CASES))
+def test_sample_columns_agree_with_the_per_cell_scan(tmp_path, case):
+    text, y_cols, expected = SAMPLE_CASES[case]
+    data = tmp_path / "case.csv"
+    data.write_bytes(text.encode("utf-8"))
+    if isinstance(expected, str):
+        with pytest.raises(DataError, match=re.escape(expected)):
+            load_sample(str(data), [0], y_cols)
+    else:
+        assert np.array_equal(load_sample(str(data), [0], y_cols).joint_rows(), expected)
+
+
+def test_well_formed_file_never_reaches_the_per_cell_scan(tmp_path, monkeypatch):
+    rng = np.random.default_rng(11)
+    values = rng.standard_normal((5000, 3)) * np.logspace(-300, 300, 5000)[:, None]
+    values[0] = [-0.0, 5e-324, -1e-310]
+    data = tmp_path / "wide.csv"
+    np.savetxt(data, values, fmt="%.17g", delimiter=",", header="a,b,c", comments="")
+    lines = data.read_text().splitlines()[1:]
+    want = np.array([[float(cell) for cell in line.split(",")] for line in lines])
+    assert np.array_equal(want, values)
+
+    def scan(*args):
+        raise AssertionError("fell back to the csv reader")
+
+    monkeypatch.setattr(cli, "_read_rows", scan)
+    sample = load_sample(str(data), [2, 0], [1])
+    cloud = load_cloud(str(data))
+    for got, cols in [(sample.xs, [2, 0]), (sample.ys, [1]), (cloud.points, [0, 1, 2])]:
+        assert np.array_equal(got, want[:, cols])
+        assert np.array_equal(np.signbit(got), np.signbit(want[:, cols]))
+
+
 def test_ragged_row_is_reported(tmp_path, capsys):
     bad = tmp_path / "ragged.csv"
     bad.write_text("x,y\n1.0,2.0\n3.0\n4.0,5.0\n")
@@ -396,3 +489,36 @@ def test_entropic_plan_off_its_marginals_exits_1(tmp_path, capsys, seed):
     assert out == ""
     assert len(err.splitlines()) == 1
     assert err.startswith("error: plan misses its marginals")
+
+
+def _run_without_warnings(capsys, argv):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        return _run(capsys, argv)
+
+
+def test_bin_count_beyond_exact_floats_exits_1(tmp_path, capsys):
+    data = _write_pair(tmp_path / "pair.csv", n=50)
+    argv = ["index", "conditional", "--file", str(data), "--x", "0", "--y", "1", "--bins"]
+    code, out, err = _run_without_warnings(capsys, argv + [str(10**20)])
+    assert (code, out) == (1, "")
+    assert err.splitlines() == [
+        "error: bin count must be at most 2**53, the largest integer a float holds exactly"
+    ]
+    code, out, _ = _run_without_warnings(capsys, argv + [str(2**53)])
+    assert code == 0 and json.loads(out)["bins"] == 50
+
+
+@pytest.mark.parametrize("replicates", ["0", "-1"])
+def test_rates_without_replicates_exits_1(capsys, replicates):
+    argv = ["experiment", "rates", "--replicates", replicates]
+    code, out, err = _run_without_warnings(capsys, argv)
+    assert (code, out) == (1, "")
+    assert err.splitlines() == [f"error: replicates must be at least 1, got {replicates}"]
+
+
+@pytest.mark.parametrize("n", ["0", "-5"])
+def test_discontinuity_without_rows_exits_1(capsys, n):
+    code, out, err = _run_without_warnings(capsys, ["experiment", "discontinuity", "--n", n])
+    assert (code, out) == (1, "")
+    assert err.splitlines() == [f"error: n must be at least 1, got {n}"]
