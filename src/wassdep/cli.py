@@ -45,9 +45,11 @@ def _read_rows(path: str) -> tuple[list[str], list[list[str]]]:
             reader = csv.reader(fh)
             try:
                 header = next(reader)
+                rows = list(reader)
             except StopIteration:
                 raise DataError(f"{path}: empty file") from None
-            rows = list(reader)
+            except csv.Error as exc:
+                raise DataError(f"{path}: line {reader.line_num}: {exc}") from None
     except OSError as exc:
         raise DataError(f"{path}: {exc.strerror or exc}") from exc
     if not rows:

@@ -1,13 +1,19 @@
 """Exact discrete optimal transport and the one-dimensional closed form.
 
-The exact solver treats the two standard regimes separately: equal-size
-uniform instances reduce to a linear assignment problem (an optimal vertex of
-the Birkhoff polytope is a permutation), while general marginals go through
-the sparse transport linear program. Both return certified optima of the same
-LP, so every downstream index can lean on them as oracles.
+The exact solver treats the two standard regimes separately. Uniform
+weights on n and m atoms reduce to a linear assignment problem on
+L = lcm(n, m) atoms, each source repeated L/n times and each sink L/m times
+(an optimal vertex of the Birkhoff polytope is a permutation). The route is
+taken when n == m, and otherwise while each cost entry is repeated at most
+20 times, the measured crossover with the LP. General marginals, and uniform
+ones past that bound, go through the sparse transport linear program. Both
+return certified optima of the same LP, so every downstream index can lean
+on them as oracles.
 """
 
 from __future__ import annotations
+
+import math
 
 import numpy as np
 from scipy import sparse
@@ -31,6 +37,12 @@ __all__ = [
 def solve_from_cost(cost: np.ndarray, a: np.ndarray, b: np.ndarray) -> float:
     """Minimal ``<plan, cost>`` over couplings of weight vectors a and b.
 
+    Uniform a and b on n and m atoms are solved as one assignment on
+    L = lcm(n, m) atoms when n == m, where ``cost`` itself is assigned, or
+    when the expanded L x L matrix repeats each entry of ``cost`` at most 20
+    times (L * L <= 20 * n * m). Every other case is solved as the sparse
+    transport LP.
+
     Used by :func:`solve_exact` and by callers that assemble composite cost
     matrices themselves (nested transport).
     """
@@ -43,9 +55,30 @@ def solve_from_cost(cost: np.ndarray, a: np.ndarray, b: np.ndarray) -> float:
     if abs(a.sum() - b.sum()) > 1e-9:
         raise ValueError(f"infeasible marginals: masses {a.sum()!r} vs {b.sum()!r}")
 
-    if n == m and np.all(a == a[0]) and np.all(b == b[0]):
+    # The scaled transport polytope has integral vertices (Peyre & Cuturi,
+    # Computational Optimal Transport, 2019), so the assignment on the
+    # expanded matrix solves the LP. It beats the LP while each entry of cost
+    # is repeated at most 20 times and loses from about 30 on. 2-D normal
+    # clouds, p = 2, 2-core VM, numpy 2.4.6, scipy 1.17.1; best of 3 below
+    # L = 1500, one run above:
+    #
+    #   n x m      L     repeats  LP        assignment
+    #   60 x 48    240   20       18.6 ms   2.9 ms
+    #   500 x 400  2000  20       1761 ms   678 ms
+    #   100 x 2000 2000  20       3966 ms   2001 ms
+    #   360 x 300  1800  30       1017 ms   949 ms
+    #   90 x 80    720   72       36.9 ms   59.9 ms
+    #   61 x 48    2928  2928     14.8 ms   4218 ms
+    #
+    # At 20 repeats the expanded matrix takes 160 bytes per entry of cost,
+    # against a peak-RSS rise of about 1.2 KB per entry for the HiGHS LP.
+    # n == m repeats nothing and assigns cost itself.
+    lcm = math.lcm(n, m)
+    if lcm * lcm <= 20 * n * m and np.all(a == a[0]) and np.all(b == b[0]):
+        if n != m:
+            cost = cost[np.ix_(np.arange(n).repeat(lcm // n), np.arange(m).repeat(lcm // m))]
         rows, cols = linear_sum_assignment(cost)
-        return float(cost[rows, cols].sum() * a[0])
+        return float(cost[rows, cols].sum() * a[0] / (lcm // n))
 
     # General marginals: sparse transport LP. One of the n+m equality rows is
     # redundant; HiGHS copes, but the column sums are rescaled to eliminate

@@ -522,3 +522,23 @@ def test_discontinuity_without_rows_exits_1(capsys, n):
     code, out, err = _run_without_warnings(capsys, ["experiment", "discontinuity", "--n", n])
     assert (code, out) == (1, "")
     assert err.splitlines() == [f"error: n must be at least 1, got {n}"]
+
+
+@pytest.mark.parametrize(
+    "command",
+    [
+        ["index", "joint", "--file", "{}", "--x", "0", "--y", "1"],
+        ["index", "conditional", "--file", "{}", "--x", "0", "--y", "1"],
+        ["test", "--file", "{}", "--x", "0", "--y", "1"],
+        ["ot", "{}", "{}"],
+    ],
+    ids=["index_joint", "index_conditional", "test", "ot"],
+)
+def test_cell_beyond_the_csv_field_limit_exits_1(tmp_path, capsys, command):
+    # One digit more than csv.field_size_limit()'s default of 131,072.
+    long = tmp_path / "long.csv"
+    long.write_text("x,y\n1,2\n3," + "7" * 131_073 + "\n5,6\n")
+    argv = [arg.format(long) for arg in command]
+    code, out, err = _run_without_warnings(capsys, argv)
+    assert (code, out) == (1, "")
+    assert err.splitlines() == [f"error: {long}: line 3: field larger than field limit (131072)"]

@@ -2,7 +2,8 @@
 
 The assignment-path oracle enumerates all n! pairings; the LP path is pinned
 by a closed-form 2x2 vertex search and by the 1D quantile formula, which
-never touches the solver.
+never touches the solver. The assignment route for clouds of different sizes
+is pinned by scipy's LP on the same cost.
 """
 
 import itertools
@@ -10,16 +11,21 @@ from types import SimpleNamespace
 
 import numpy as np
 import pytest
+import scipy.optimize
 
 import wassdep
 from wassdep import (
     ConditionalFamily,
     CostSpec,
     DiscreteMeasure,
+    PairedSample,
     adapted_wasserstein,
     cost_matrix,
     gaussian_w2,
+    i_joint,
+    product_estimator,
     solve_exact,
+    solve_from_cost,
     to_measure,
     wasserstein_1d,
 )
@@ -55,6 +61,21 @@ def two_by_two_vertex_cost(cost: np.ndarray, a, b) -> float:
         )
         best = min(best, val)
     return best
+
+
+def lp_transport_cost(cost: np.ndarray, a, b) -> float:
+    """Optimal transport cost by scipy's HiGHS LP with dense constraints."""
+    n, m = cost.shape
+    constraints = np.vstack([np.kron(np.eye(n), np.ones((1, m))), np.kron(np.ones((1, n)), np.eye(m))])
+    res = scipy.optimize.linprog(
+        cost.ravel(), A_eq=constraints, b_eq=np.concatenate([a, b]), bounds=(0, None), method="highs"
+    )
+    assert res.success
+    return float(res.fun)
+
+
+def _refuse(*args, **kwargs):
+    raise AssertionError("this route must not be taken")
 
 
 def test_assignment_path_matches_enumeration():
@@ -126,6 +147,70 @@ def test_lp_failure_raises_exact_solver_error(monkeypatch):
     with pytest.raises(wassdep.ExactSolverError, match="numerical difficulties"):
         solve_exact(src, dst, CostSpec(p=1.0))
     assert issubclass(wassdep.ExactSolverError, wassdep.WassdepError)
+
+
+# ---------------------------------------------------------------------------
+# Assignment route for uniform weights on n != m atoms
+# ---------------------------------------------------------------------------
+
+
+@pytest.mark.parametrize("p", [1.0, 2.0, 3.0])
+@pytest.mark.parametrize(
+    "n, m, duplicated",
+    [(60, 48, False), (48, 60, True), (30, 10, False), (10, 30, True), (16, 20, True)],
+)
+def test_unequal_uniform_clouds_are_assigned_not_solved_as_an_lp(monkeypatch, n, m, duplicated, p):
+    rng = np.random.default_rng([n, m, int(p)])
+    if duplicated:  # points of a 3 x 3 grid, so every point repeats
+        src, dst = (to_measure(rng.integers(0, 3, size=(k, 2)).astype(float)) for k in (n, m))
+    else:
+        src, dst = to_measure(rng.normal(size=(n, 2))), to_measure(rng.normal(size=(m, 2)))
+    cost = cost_matrix(src, dst, CostSpec(p=p))
+    want = lp_transport_cost(cost, src.weights, dst.weights)
+    monkeypatch.setattr(wassdep.exact, "linprog", _refuse)
+    got = solve_from_cost(cost, src.weights, dst.weights)
+    assert want > 0
+    assert abs(got - want) <= 1e-12 * want
+
+
+def test_clouds_whose_expansion_repeats_each_cost_too_often_go_to_the_lp(monkeypatch):
+    # lcm(61, 48) = 2928 repeats each cost entry 2928 times; the LP is faster.
+    rng = np.random.default_rng(61)
+    src, dst = to_measure(rng.normal(size=(61, 2))), to_measure(rng.normal(size=(48, 2)))
+    cost = cost_matrix(src, dst, CostSpec(p=2.0))
+    want = lp_transport_cost(cost, src.weights, dst.weights)
+    monkeypatch.setattr(wassdep.exact, "linear_sum_assignment", _refuse)
+    got = solve_from_cost(cost, src.weights, dst.weights)
+    assert abs(got - want) <= 1e-12 * want
+
+
+def test_equal_sizes_assign_the_cost_itself(monkeypatch):
+    rng = np.random.default_rng(7)
+    src, dst = to_measure(rng.normal(size=(40, 2))), to_measure(rng.normal(size=(40, 2)))
+    cost = cost_matrix(src, dst, CostSpec(p=2.0))
+    rows, cols = scipy.optimize.linear_sum_assignment(cost)
+    seen = []
+
+    def record(matrix):
+        seen.append(matrix)
+        return scipy.optimize.linear_sum_assignment(matrix)
+
+    monkeypatch.setattr(wassdep.exact, "linear_sum_assignment", record)
+    assert solve_from_cost(cost, src.weights, dst.weights) == cost[rows, cols].sum() * src.weights[0]
+    assert len(seen) == 1 and seen[0] is cost
+
+
+def test_full_product_joint_index_matches_its_lp_value(monkeypatch):
+    # The full estimator transports 12 sample atoms onto 144 product atoms.
+    rng = np.random.default_rng(12)
+    x = rng.normal(size=12)
+    sample = PairedSample(x, 0.6 * x + rng.normal(size=12), seed=0)
+    joint, product = product_estimator(sample, "full")
+    cost = cost_matrix(joint, product, CostSpec(p=1.0, factor_dims=(1, 1)))
+    want = lp_transport_cost(cost, joint.weights, product.weights)
+    monkeypatch.setattr(wassdep.exact, "linprog", _refuse)
+    report = i_joint(sample, estimator="full")
+    assert abs(report.numerator - want) <= 1e-12
 
 
 # ---------------------------------------------------------------------------
