@@ -6,12 +6,15 @@ by the marginal's with-replacement mean discrepancy gives an index in [0,1]:
 zero when every conditional equals the marginal, one when Y is a function
 of X.
 
-Every W_p^p between two discrete laws here goes through one route selector,
-:func:`_transport_power`. Its one-point fast path and the plug-in discrepancy
-are computed through the same helper and the same dot-product reduction, so a
-sample with all-distinct x values and Y = f(X) yields an index of exactly
-1.0, bit for bit. That exactness is also what makes the estimator discontinuous: an
-independent continuous sample has all-distinct x too.
+For scalar y at p = 1 or 2, :func:`i_conditional` reads every group's
+W_p^p against the y-marginal from one prefix-sum sweep,
+``exact._group_powers``, which sorts the marginal once. Exact mode's rows
+and the plug-in discrepancy come from that helper and the same dot-product
+reduction, so a sample with all-distinct x values and Y = f(X) yields an
+index of exactly 1.0, bit for bit. That exactness is also what makes the
+estimator discontinuous: an independent continuous sample has all-distinct
+x too. Every other W_p^p between two discrete laws here goes through one
+route selector, :func:`_transport_power`.
 """
 
 from __future__ import annotations
@@ -29,7 +32,7 @@ from .empirical import (
     to_measure,
 )
 from .entropic import sinkhorn_discrepancy
-from .exact import _quantile_cost, solve_exact, solve_from_cost
+from .exact import _group_powers, _quantile_cost, solve_exact, solve_from_cost
 from .exceptions import DataError, DegenerateMarginalError
 from .measures import CostSpec, DiscreteMeasure, _quantile_form
 from .report import IndexReport
@@ -52,7 +55,8 @@ def _transport_power(law: DiscreteMeasure, target: DiscreteMeasure, p: float) ->
     """W_p^p between two discrete laws, by the cheapest exact route.
 
     A one-point law has only the forced coupling; it reads the target in its
-    original order, on which the exact 1.0 of a functional sample depends.
+    original order, as :func:`gmd_plugin` does for a multi-d law or p not in
+    {1, 2}, on which the exact 1.0 of such a functional sample depends.
     Scalar laws take the quantile integral between the law's quantile form,
     built for this call, and the target's, built once per measure. The law's
     form is not kept: in the conditional indices each group law meets the
@@ -67,11 +71,6 @@ def _transport_power(law: DiscreteMeasure, target: DiscreteMeasure, p: float) ->
     return solve_exact(law, target, CostSpec(p=p))
 
 
-def _family_power(family: ConditionalFamily, marginal: DiscreteMeasure, p: float) -> float:
-    costs = np.array([_transport_power(law, marginal, p) for law in family.laws])
-    return float(np.dot(family.group_weights, costs))
-
-
 def d_conditional(family: ConditionalFamily, p: float = 1.0) -> float:
     """Averaged conditional-to-marginal transport distance.
 
@@ -81,7 +80,9 @@ def d_conditional(family: ConditionalFamily, p: float = 1.0) -> float:
     every group law equals the marginal.
     """
     CostSpec(p=p)  # the one check on p: ValueError unless p >= 1
-    return _family_power(family, family.pooled_marginal(), p) ** (1.0 / p)
+    marginal = family.pooled_marginal()
+    costs = np.array([_transport_power(law, marginal, p) for law in family.laws])
+    return float(np.dot(family.group_weights, costs)) ** (1.0 / p)
 
 
 def gaussian_conditional_index(rho: float) -> float:
@@ -108,16 +109,23 @@ def i_conditional(
     """
     CostSpec(p=p)  # the one check on p: ValueError unless p >= 1
     family = partition(sample, mode, phi=phi, snap_y=snap_y)
-    marginal = family.pooled_marginal() if snap_y else to_measure(sample.ys)
+    sizes = np.array([law.n for law in family.laws])
+    if sample.dy == 1 and p in (1, 2):
+        # The grouped rows, snapped or not, are the marginal: no mixture is built.
+        values = np.concatenate([law.points[:, 0] for law in family.laws])
+        costs = _group_powers(values, np.cumsum(sizes) - sizes, p)
+    else:
+        target = family.pooled_marginal() if snap_y else to_measure(sample.ys)
+        costs = np.array([_transport_power(law, target, p) for law in family.laws])
 
     if mode == "exact":
+        marginal = to_measure(sample.ys)
         row_costs = np.empty(sample.n)
-        for law, idx in zip(family.laws, family.groups):
-            row_costs[idx] = _transport_power(law, marginal, p)
+        row_costs[np.concatenate(family.groups)] = np.repeat(costs, sizes)
         numerator_p = float(np.dot(marginal.weights, row_costs))
         denominator_p = gmd_plugin(marginal, p)
     else:
-        numerator_p = _family_power(family, marginal, p)
+        numerator_p = float(np.dot(family.group_weights, costs))
         denominator_p = gmd_ustat(sample.ys, p)
 
     if denominator_p <= 0.0:

@@ -14,6 +14,7 @@ import numpy as np
 from scipy.optimize import linear_sum_assignment
 from scipy.spatial.distance import cdist
 
+from .exact import _group_powers
 from .exceptions import DataError
 from .measures import CostSpec, DiscreteMeasure, _as_points, _as_weights, cost_matrix, mixture, product_measure
 
@@ -106,18 +107,21 @@ def gmd_ustat(rows, p: float = 1.0) -> float:
 def gmd_plugin(measure: DiscreteMeasure, p: float = 1.0) -> float:
     """With-replacement mean p-th power discrepancy of a weighted measure.
 
-    One :func:`dirac_transport_cost` per row, then one dot product: the same
-    reduction as an all-dirac conditional numerator, so the two agree bit for
-    bit on a functional sample.
+    A scalar measure with uniform weights at p = 1 or 2 reads every row's
+    cost from ``exact._group_powers``, each row its own group; any other
+    takes one :func:`dirac_transport_cost` per row. One dot product follows:
+    the same reduction as an all-dirac conditional numerator, so the two
+    agree bit for bit on a functional sample.
     """
     CostSpec(p=p)  # the one check on p: ValueError unless p >= 1
-    rows = np.array(
-        [
-            dirac_transport_cost(measure.points[i], measure.points, measure.weights, p)
-            for i in range(measure.n)
-        ]
-    )
-    return float(np.dot(measure.weights, rows))
+    weights = measure.weights
+    if measure.dim == 1 and p in (1, 2) and np.all(weights == weights[0]):
+        rows = _group_powers(measure.points[:, 0], np.arange(measure.n), p)
+    else:
+        rows = np.array(
+            [dirac_transport_cost(measure.points[i], measure.points, weights, p) for i in range(measure.n)]
+        )
+    return float(np.dot(weights, rows))
 
 
 def dirac_transport_cost(point: np.ndarray, support: np.ndarray, weights: np.ndarray, p: float) -> float:

@@ -1,4 +1,5 @@
-"""The benchmark's own output check, run in-process on each workload at seed 0.
+"""The benchmark's own output check, run in-process on each workload at seed 0,
+and on conditional_n200k at the held-out seed 9973 too.
 
 perfbench/run.py accepts a call only when it exits 0, prints the same stdout
 as the untimed call before it, and matches perfbench/reference.json within
@@ -30,6 +31,7 @@ def _load_workloads():
 
 WORKLOADS = _load_workloads()
 SEED = 0
+HELD_OUT_SEED = 9973
 
 
 def _call(argv):
@@ -39,14 +41,22 @@ def _call(argv):
     return rc, out.getvalue()
 
 
-@pytest.mark.parametrize("name", list(WORKLOADS))
-def test_workload_output_passes_the_benchmark_check(name, tmp_path):
+def _check(name, seed, directory):
     workload = WORKLOADS[name]
     with open(PERFBENCH / "reference.json") as fh:
-        references = json.load(fh)[name][str(SEED)]
-    argvs = workload.write_inputs(str(tmp_path), SEED)
+        references = json.load(fh)[name][str(seed)]
+    argvs = workload.write_inputs(str(directory), seed)
     assert len(argvs) == len(references)
     for argv, reference in zip(argvs, references):
         first, second = _call(argv), _call(argv)
         assert first == second
         assert workload.check(*first, reference) is None
+
+
+@pytest.mark.parametrize("name", list(WORKLOADS))
+def test_workload_output_passes_the_benchmark_check(name, tmp_path):
+    _check(name, SEED, tmp_path)
+
+
+def test_conditional_workload_passes_the_benchmark_check_at_the_held_out_seed(tmp_path):
+    _check("conditional_n200k", HELD_OUT_SEED, tmp_path)

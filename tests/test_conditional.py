@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from wassdep import conditional, empirical
 from wassdep.conditional import (
     _transport_power,
     adapted_wasserstein,
@@ -13,9 +14,9 @@ from wassdep.conditional import (
     w_lipschitz_estimate,
 )
 from wassdep.empirical import ConditionalFamily, PairedSample, gmd_plugin, partition, to_measure
-from wassdep.exact import _quantile_cost, solve_exact, solve_from_cost, wasserstein_1d
+from wassdep.exact import solve_exact, solve_from_cost, wasserstein_1d
 from wassdep.exceptions import DataError
-from wassdep.measures import CostSpec, DiscreteMeasure, _quantile_form
+from wassdep.measures import CostSpec, DiscreteMeasure
 
 
 def _tied_sample():
@@ -103,35 +104,77 @@ def _shuffled_tied_sample():
     return PairedSample(x[order], y[order], seed=0)
 
 
-def _unsorted_costs(family, marginal, p):
-    """Each group's quantile cost against the marginal, both forms built here
-    from the atoms in their original order."""
-    assert not any(np.all(law.points == law.points[0]) for law in family.laws)
-    target = _quantile_form(marginal.points[:, 0], marginal.weights)
-    return np.array(
-        [_quantile_cost(*_quantile_form(law.points[:, 0], law.weights), *target, p) for law in family.laws]
-    )
+def _oracle_power(group, marginal, p):
+    """W_p^p between the uniform laws on two sets of values, exactly: both
+    quantile functions merged on integer levels in units of 1/(n m), gaps
+    and sums in np.longdouble."""
+    n, m = len(marginal), len(group)
+    z = np.sort(marginal).astype(np.longdouble)
+    a = np.sort(group).astype(np.longdouble)
+    levels = np.union1d(np.arange(m + 1) * n, np.arange(n + 1) * m)
+    gaps = np.abs(a[levels[:-1] // n] - z[levels[:-1] // m]) ** int(p)
+    return np.sum(np.diff(levels) * gaps) / (n * m)
+
+
+def _oracle_numerator(groups, marginal, p):
+    """The conditional numerator: group costs weighted by group size over n."""
+    return sum(len(g) * _oracle_power(g, marginal, p) for g in groups) / len(marginal)
+
+
+def _assert_matches_the_oracle(sample, mode, p, snap_y=False):
+    family = partition(sample, mode, snap_y=snap_y)
+    groups = [law.points[:, 0] for law in family.laws]
+    marginal = np.concatenate(groups)  # the snapped rows when snap_y is set
+    report = i_conditional(sample, mode=mode, p=p, snap_y=snap_y)
+    want = _oracle_numerator(groups, marginal, p)
+    assert abs(report.numerator - want) <= 1e-13 * want
+    if mode == "exact":
+        want = _oracle_numerator([[y] for y in marginal], marginal, p)
+        assert abs(report.denominator - want) <= 1e-13 * want
 
 
 @pytest.mark.parametrize("p", [1.0, 2.0])
 def test_sorting_the_marginal_once_changes_no_bits(p):
+    # The sweep sorts the y column once and each group once, so every mode
+    # lands on the exact value, and the binned numerator does not depend on
+    # the order of the rows, bit for bit.
     sample = _shuffled_tied_sample()
-    marginal = to_measure(sample.ys)
     assert len(np.unique(sample.ys)) < sample.n
-
+    _assert_matches_the_oracle(sample, "bins", p)
+    _assert_matches_the_oracle(sample, "bins", p, snap_y=True)
+    _assert_matches_the_oracle(sample, "exact", p)
+    reversed_rows = PairedSample(sample.xs[::-1], sample.ys[::-1], seed=0)
     for snap_y in (False, True):
-        family = partition(sample, "bins", snap_y=snap_y)
-        pooled = family.pooled_marginal() if snap_y else marginal
-        expected = float(np.dot(family.group_weights, _unsorted_costs(family, pooled, p)))
         report = i_conditional(sample, mode="bins", p=p, snap_y=snap_y)
-        assert report.numerator == expected
+        assert i_conditional(reversed_rows, mode="bins", p=p, snap_y=snap_y).numerator == report.numerator
 
-    family = partition(sample, "exact")
-    row_costs = np.empty(sample.n)
-    for idx, cost in zip(family.groups, _unsorted_costs(family, marginal, p)):
-        row_costs[idx] = cost
-    expected = float(np.dot(marginal.weights, row_costs))
-    assert i_conditional(sample, mode="exact", p=p).numerator == expected
+
+@pytest.mark.parametrize("p", [1.0, 2.0])
+@pytest.mark.parametrize(
+    "x_scale, y_scale, y_offset, snap_y",
+    [(1.0, 1.0, 1e6, True), (1e12, 1e12, 0.0, True), (1e-12, 1e-12, 0.0, False)],
+)
+def test_the_sweep_agrees_with_the_oracle_off_unit_scale(p, x_scale, y_scale, y_offset, snap_y):
+    # x rounded to one decimal, so exact mode has groups of many rows. At
+    # 1e-12 the bins' absolute 1e-9 widening puts every row in one cube, and
+    # snap_y leaves y constant, so that scale runs bins without snap_y.
+    rng = np.random.default_rng(5)
+    x = rng.normal(size=1500)
+    y = 0.6 * x + 0.8 * rng.normal(size=1500)
+    sample = PairedSample(np.round(x, 1) * x_scale, y * y_scale + y_offset, seed=0)
+    _assert_matches_the_oracle(sample, "exact", p)
+    _assert_matches_the_oracle(sample, "bins", p)
+    if snap_y:
+        _assert_matches_the_oracle(sample, "bins", p, snap_y=True)
+
+
+@pytest.mark.parametrize("p", [1.0, 2.0])
+def test_bins_mode_stays_exact_at_twenty_thousand_rows(p):
+    # The merge of cumulative weights drifts by about n ulps; here it drifted
+    # past 1e-13 of the numerator, which the sweep's integer levels do not.
+    rng = np.random.default_rng(20)
+    x = rng.normal(size=20_000)
+    _assert_matches_the_oracle(PairedSample(x, 0.6 * x + 0.8 * rng.normal(size=20_000)), "bins", p)
 
 
 def test_bins_mode_sorts_each_group_law_once_and_the_marginal_once(monkeypatch):
@@ -140,11 +183,36 @@ def test_bins_mode_sorts_each_group_law_once_and_the_marginal_once(monkeypatch):
     sample = PairedSample(x, 0.6 * x + 0.8 * rng.normal(size=5000), seed=0)
     family = partition(sample, "bins")
     assert family.k == 17 and all(law.n > 1 for law in family.laws)
-    calls = []
-    argsort = np.argsort
-    monkeypatch.setattr(np, "argsort", lambda *a, **kw: calls.append(1) or argsort(*a, **kw))
-    assert i_conditional(sample, "bins").bins == family.k
-    assert len(calls) == family.k + 1
+    sorts, argsorts = [], []
+    sort, argsort = np.sort, np.argsort
+    # Only sorts of y values count: the family's overlap check sorts row indices.
+    monkeypatch.setattr(np, "sort", lambda a, *r, **kw: sorts.append(a.dtype.kind == "f") or sort(a, *r, **kw))
+    monkeypatch.setattr(np, "argsort", lambda *a, **kw: argsorts.append(1) or argsort(*a, **kw))
+    for p in (1.0, 2.0):
+        sorts.clear()
+        assert i_conditional(sample, "bins", p=p).bins == family.k
+        # At p = 1 the denominator, gmd_ustat, sorts the y column once more.
+        assert sum(sorts) == family.k + 1 + (p == 1.0)
+    assert argsorts == []
+
+
+def _raise(*args, **kwargs):
+    raise AssertionError("a per-row dirac cost was computed")
+
+
+@pytest.mark.parametrize("p", [1.0, 2.0])
+def test_exact_mode_and_the_plugin_discrepancy_make_no_per_row_dirac_call(monkeypatch, p):
+    monkeypatch.setattr(empirical, "dirac_transport_cost", _raise)
+    monkeypatch.setattr(conditional, "dirac_transport_cost", _raise)
+    rng = np.random.default_rng(8)
+    x, y = rng.normal(size=2000), rng.normal(size=2000)
+    report = i_conditional(PairedSample(x, y, seed=0), mode="exact", p=p)
+    assert report.value == 1.0
+    assert gmd_plugin(to_measure(y), p) == report.denominator
+    tied = np.round(x, 1)
+    report = i_conditional(PairedSample(tied, np.sin(3.0 * tied), seed=0), mode="exact", p=p)
+    assert len(np.unique(tied)) < 2000 and report.value == 1.0
+    assert 0.0 < i_conditional(PairedSample(tied, y, seed=0), mode="exact", p=p).value < 1.0
 
 
 @pytest.mark.parametrize("p", [1.0, 2.0])
