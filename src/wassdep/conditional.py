@@ -6,18 +6,22 @@ by the marginal's with-replacement mean discrepancy gives an index in [0,1]:
 zero when every conditional equals the marginal, one when Y is a function
 of X.
 
-For scalar y at p = 1 or 2, :func:`i_conditional` reads every group's
-W_p^p against the y-marginal from one prefix-sum sweep,
-``exact._group_powers``, which sorts the marginal once. Exact mode's rows
-and the plug-in discrepancy come from that helper and the same dot-product
-reduction, so a sample with all-distinct x values and Y = f(X) yields an
-index of exactly 1.0, bit for bit. That exactness is also what makes the
-estimator discontinuous: an independent continuous sample has all-distinct
-x too. Every other W_p^p between two discrete laws here goes through one
-route selector, :func:`_transport_power`.
+A :class:`~wassdep.empirical.ConditionalFamily` holds its groups' y rows as
+one array cut at ``starts``. For scalar y at p = 1 or 2, :func:`i_conditional`
+hands that column to one prefix-sum sweep, ``exact._group_powers``, which
+reads every group's W_p^p against the y-marginal with no per-group measure.
+Exact mode spreads those costs over the sample rows the family stores; the
+plug-in discrepancy comes from the same helper and dot-product reduction, so
+a sample with all-distinct x values and Y = f(X) yields an index of exactly
+1.0, bit for bit. That exactness is also what makes the estimator
+discontinuous: an independent continuous sample has all-distinct x too.
+Every other W_p^p between two discrete laws here goes through one route
+selector, :func:`_transport_power`, on group laws built on first use.
 """
 
 from __future__ import annotations
+
+from itertools import combinations
 
 import numpy as np
 from scipy.spatial.distance import cdist
@@ -47,10 +51,6 @@ __all__ = [
 ]
 
 
-def _is_dirac(law: DiscreteMeasure) -> bool:
-    return law.n == 1 or bool(np.all(law.points == law.points[0]))
-
-
 def _transport_power(law: DiscreteMeasure, target: DiscreteMeasure, p: float) -> float:
     """W_p^p between two discrete laws, by the cheapest exact route.
 
@@ -64,7 +64,7 @@ def _transport_power(law: DiscreteMeasure, target: DiscreteMeasure, p: float) ->
     for the life of the family. Anything else goes to the exact solver,
     which picks assignment or LP itself.
     """
-    if _is_dirac(law):
+    if law.n == 1 or np.all(law.points == law.points[0]):
         return dirac_transport_cost(law.points[0], target.points, target.weights, p)
     if law.dim == target.dim == 1:
         return _quantile_cost(*_quantile_form(law.points[:, 0], law.weights), *target.quantile_form, p)
@@ -109,11 +109,9 @@ def i_conditional(
     """
     CostSpec(p=p)  # the one check on p: ValueError unless p >= 1
     family = partition(sample, mode, phi=phi, snap_y=snap_y)
-    sizes = np.array([law.n for law in family.laws])
     if sample.dy == 1 and p in (1, 2):
-        # The grouped rows, snapped or not, are the marginal: no mixture is built.
-        values = np.concatenate([law.points[:, 0] for law in family.laws])
-        costs = _group_powers(values, np.cumsum(sizes) - sizes, p)
+        # The grouped rows, snapped or not, are the marginal: no law is built.
+        costs = _group_powers(family.points[:, 0], family.starts, p)
     else:
         target = family.pooled_marginal() if snap_y else to_measure(sample.ys)
         costs = np.array([_transport_power(law, target, p) for law in family.laws])
@@ -121,7 +119,7 @@ def i_conditional(
     if mode == "exact":
         marginal = to_measure(sample.ys)
         row_costs = np.empty(sample.n)
-        row_costs[np.concatenate(family.groups)] = np.repeat(costs, sizes)
+        row_costs[family.rows] = np.repeat(costs, family.sizes)
         numerator_p = float(np.dot(marginal.weights, row_costs))
         denominator_p = gmd_plugin(marginal, p)
     else:
@@ -166,21 +164,17 @@ def w_lipschitz_estimate(family: ConditionalFamily, p: float = 1.0) -> float:
     pairs with distinct representatives: an empirical lower bound on the
     conditional law's modulus of continuity."""
     CostSpec(p=p)  # the one check on p: ValueError unless p >= 1
-    k = family.k
-    if k < 2:
+    if family.k < 2:
         raise DataError("need at least 2 groups")
-    best = None
-    for g in range(k):
-        for h in range(g + 1, k):
-            gap = float(np.linalg.norm(family.representatives[g] - family.representatives[h]))
-            if gap == 0.0:
-                continue
-            cost = _transport_power(family.laws[g], family.laws[h], p)
-            ratio = cost ** (1.0 / p) / gap
-            best = ratio if best is None else max(best, ratio)
-    if best is None:
+    laws, reps = family.laws, family.representatives
+    ratios = [
+        _transport_power(laws[g], laws[h], p) ** (1.0 / p) / gap
+        for g, h in combinations(range(family.k), 2)
+        if (gap := float(np.linalg.norm(reps[g] - reps[h]))) != 0.0
+    ]
+    if not ratios:
         raise DataError("all group representatives coincide")
-    return best
+    return max(ratios)
 
 
 def adapted_wasserstein(law1: ConditionalFamily, law2: ConditionalFamily, p: float = 1.0) -> float:
@@ -192,15 +186,12 @@ def adapted_wasserstein(law1: ConditionalFamily, law2: ConditionalFamily, p: flo
     """
     if law1.representatives.shape[1] != law2.representatives.shape[1]:
         raise ValueError("first-coordinate dimensions disagree")
-    if law1.laws[0].dim != law2.laws[0].dim:
+    if law1.points.shape[1] != law2.points.shape[1]:
         raise ValueError("conditional dimensions disagree")
     CostSpec(p=p)  # the one check on p: ValueError unless p >= 1
     outer = cdist(law1.representatives, law2.representatives)
     if p != 1:
         outer = outer ** p
-    inner = np.empty((law1.k, law2.k))
-    for i, cond_i in enumerate(law1.laws):
-        for j, cond_j in enumerate(law2.laws):
-            inner[i, j] = _transport_power(cond_i, cond_j, p)
+    inner = np.array([[_transport_power(a, b, p) for b in law2.laws] for a in law1.laws])
     total = solve_from_cost(outer + inner, law1.group_weights, law2.group_weights)
     return max(total, 0.0) ** (1.0 / p)

@@ -9,6 +9,7 @@ partitions, mean-discrepancy statistics, and copula/rank normalizations.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 from scipy.optimize import linear_sum_assignment
@@ -16,7 +17,7 @@ from scipy.spatial.distance import cdist
 
 from .exact import _group_powers
 from .exceptions import DataError
-from .measures import CostSpec, DiscreteMeasure, _as_points, _as_weights, cost_matrix, mixture, product_measure
+from .measures import WEIGHT_TOL, CostSpec, DiscreteMeasure, _as_points, _as_weights, cost_matrix, product_measure
 
 __all__ = [
     "PairedSample",
@@ -118,9 +119,7 @@ def gmd_plugin(measure: DiscreteMeasure, p: float = 1.0) -> float:
     if measure.dim == 1 and p in (1, 2) and np.all(weights == weights[0]):
         rows = _group_powers(measure.points[:, 0], np.arange(measure.n), p)
     else:
-        rows = np.array(
-            [dirac_transport_cost(measure.points[i], measure.points, weights, p) for i in range(measure.n)]
-        )
+        rows = np.array([dirac_transport_cost(point, measure.points, weights, p) for point in measure.points])
     return float(np.dot(weights, rows))
 
 
@@ -249,41 +248,65 @@ def multivariate_ranks(points, grid) -> np.ndarray:
 
 @dataclass(frozen=True)
 class ConditionalFamily:
-    """A law of X on one or more atoms, with one conditional y-law per atom.
+    """A law of X on k atoms with one conditional y-law per atom, held flat.
 
-    ``groups``, set by :func:`partition`, holds the sample rows behind each
-    atom. Group weights must sum to 1 within 1e-9 and are kept as given.
+    Group g's atoms are ``points[starts[g]:starts[g + 1]]``, the last group
+    running to the end. ``weights`` holds each atom's weight within its
+    group, or is None when every group is uniform; ``rows``, set by
+    :func:`partition`, holds each atom's sample row. Group weights must sum
+    to 1 within 1e-9 and are kept as given.
     """
 
     representatives: np.ndarray
-    laws: tuple[DiscreteMeasure, ...]
     group_weights: np.ndarray
-    groups: tuple[np.ndarray, ...] = ()
+    points: np.ndarray
+    starts: np.ndarray
+    weights: np.ndarray | None = None
+    rows: np.ndarray | None = None
 
     def __post_init__(self):
-        reps = _as_points(self.representatives, "representatives")
-        laws = tuple(self.laws)
-        if len(laws) != reps.shape[0]:
-            raise DataError("need exactly one conditional law per representative")
+        object.__setattr__(self, "representatives", _as_points(self.representatives, "representatives"))
+        object.__setattr__(self, "group_weights", np.asarray(self.group_weights, dtype=float))
+        object.__setattr__(self, "points", _as_points(self.points, "points"))
+        object.__setattr__(self, "starts", np.asarray(self.starts, dtype=np.int64))
+        if self.starts.shape != (len(self.representatives),) or self.starts[0] != 0 or np.any(self.sizes < 1):
+            raise DataError("need exactly one nonempty conditional law per representative")
+        _as_weights(self.group_weights, self.k)  # checked only: rescaling would move output bits
+        if self.weights is not None:
+            object.__setattr__(self, "weights", np.asarray(self.weights, dtype=float))
+            fits = self.weights.shape == self.points.shape[:1] and np.all(self.weights >= 0)
+            if not fits or np.any(np.abs(np.add.reduceat(self.weights, self.starts) - 1.0) > WEIGHT_TOL):
+                raise ValueError("atom weights must be nonnegative and sum to 1 within each group")
+
+    @classmethod
+    def from_laws(cls, representatives, laws, group_weights) -> "ConditionalFamily":
+        """The family whose g-th representative carries the measure ``laws[g]``."""
         if len({law.dim for law in laws}) != 1:
-            raise DataError("conditional laws live in different dimensions")
-        weights = np.asarray(self.group_weights, dtype=float)
-        _as_weights(weights, len(laws))  # checked only: rescaling would move output bits
-        if self.groups:
-            seen = np.sort(np.concatenate([np.asarray(g) for g in self.groups]))
-            if np.any(seen[1:] == seen[:-1]):
-                raise DataError("groups overlap")
-        object.__setattr__(self, "representatives", reps)
-        object.__setattr__(self, "laws", laws)
-        object.__setattr__(self, "group_weights", weights)
+            raise DataError("need one or more conditional laws, all in one dimension")
+        sizes = np.array([law.n for law in laws])
+        uniform = all(np.all(law.weights == law.weights[0]) for law in laws)
+        weights = None if uniform else np.concatenate([law.weights for law in laws])
+        points = np.vstack([law.points for law in laws])
+        return cls(representatives, group_weights, points, np.cumsum(sizes) - sizes, weights)
 
     @property
     def k(self) -> int:
-        return len(self.laws)
+        return len(self.starts)
+
+    @property
+    def sizes(self) -> np.ndarray:
+        return np.diff(self.starts, append=len(self.points))
+
+    @cached_property
+    def laws(self) -> tuple[DiscreteMeasure, ...]:
+        """Each group's atoms as a measure, built on first use."""
+        weights = [None] * self.k if self.weights is None else np.split(self.weights, self.starts[1:])
+        return tuple(map(DiscreteMeasure, np.split(self.points, self.starts[1:]), weights))
 
     def pooled_marginal(self) -> DiscreteMeasure:
-        """Mixture of the group laws with the group weights: the y-marginal."""
-        return mixture(self.laws, self.group_weights)
+        """Every atom at its group's weight times its weight in the group: the y-marginal."""
+        within = np.repeat(1.0 / self.sizes, self.sizes) if self.weights is None else self.weights
+        return DiscreteMeasure(self.points, np.repeat(self.group_weights, self.sizes) * within)
 
 
 def default_bin_count(n: int, x_dim: int) -> int:
@@ -292,26 +315,17 @@ def default_bin_count(n: int, x_dim: int) -> int:
     return max(int(phi), 1)
 
 
-def _snap_to_centers(values: np.ndarray, phi: int) -> np.ndarray:
-    """Map each coordinate to the center of its cube in a phi^d grid over the
-    (slightly inflated) empirical bounding box."""
-    lo = values.min(axis=0) - 1e-9
-    hi = values.max(axis=0) + 1e-9
-    width = (hi - lo) / phi
-    idx = np.clip(np.floor((values - lo) / width).astype(np.int64), 0, phi - 1)
-    return lo + (idx + 0.5) * width
-
-
-def row_groups(points: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Stable lexicographic order of the rows and where each run of equal rows starts.
-
-    ``points[order[starts[g]]]`` is the g-th distinct row in ascending order,
-    and each run lists its rows in their original order.
-    """
-    order = np.lexsort(points.T[::-1])
-    pts = points[order]
-    new_group = np.any(pts[1:] != pts[:-1], axis=1)
-    return order, np.concatenate([[0], np.flatnonzero(new_group) + 1])
+def _cubes(values: np.ndarray, phi: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Each row's integer cube index in a phi^d grid over the data's bounding
+    box, widened by 1e-9 of each axis's range on either side so that the
+    cubes do not depend on the data's units, and the box's lower corner and
+    cube width per axis. A constant axis is one cube of width 0."""
+    lo = values.min(axis=0)
+    span = values.max(axis=0) - lo
+    lo = lo - 1e-9 * span
+    width = span * (1.0 + 2e-9) / phi
+    idx = np.floor((values - lo) / np.where(width > 0, width, 1.0)).astype(np.int64)
+    return np.clip(idx, 0, phi - 1), lo, width
 
 
 def partition(
@@ -322,14 +336,17 @@ def partition(
 ) -> ConditionalFamily:
     """Group the rows into a conditional family.
 
-    ``exact`` groups equal x rows; ``bins`` snaps each x to the center of its
-    cube in a ``phi``-per-axis grid over the data's bounding box and groups
-    by cube. ``snap_y`` additionally coarsens the y-values onto their own
-    cube centers (the variant used in the rate analysis; off by default
-    because the plain plug-in is the natural estimator).
+    ``exact`` groups equal x rows; ``bins`` groups x by its integer cube in
+    a ``phi``-per-axis grid over the data's bounding box, and represents each
+    group by its cube's center. ``snap_y`` additionally coarsens the y-values
+    onto their own cube centers (the variant used in the rate analysis; off
+    by default because the plain plug-in is the natural estimator). Groups
+    come in ascending key order, each listing its rows in their original order.
     """
-    n = sample.n
+    n, ys = sample.n, sample.ys
     if mode == "exact":
+        if snap_y:
+            raise DataError("snap_y only applies to bins mode")
         keys = sample.xs
     elif mode == "bins":
         if phi is None:
@@ -338,24 +355,15 @@ def partition(
             raise DataError("bin count must be at least 1")
         if phi > 2**53:
             raise DataError("bin count must be at most 2**53, the largest integer a float holds exactly")
-        keys = _snap_to_centers(sample.xs, phi)
+        keys, lo, width = _cubes(sample.xs, phi)
+        if snap_y:
+            y_idx, y_lo, y_width = _cubes(ys, phi)
+            ys = y_lo + (y_idx + 0.5) * y_width
     else:
         raise ValueError(f"unknown partition mode {mode!r}")
 
-    ys = sample.ys
-    if snap_y:
-        if mode != "bins":
-            raise DataError("snap_y only applies to bins mode")
-        ys = _snap_to_centers(ys, phi)
-
-    order, starts = row_groups(keys)
-    bounds = np.append(starts, n)
-    groups = [order[a:b] for a, b in zip(bounds[:-1], bounds[1:])]
-    laws = [to_measure(ys[idx]) for idx in groups]
-    weights = np.diff(bounds).astype(float) / n
-    return ConditionalFamily(
-        representatives=keys[order[starts]],
-        laws=tuple(laws),
-        group_weights=weights,
-        groups=tuple(groups),
-    )
+    order = np.lexsort(keys.T[::-1])
+    keys = keys[order]
+    starts = np.concatenate([[0], np.flatnonzero(np.any(keys[1:] != keys[:-1], axis=1)) + 1])
+    representatives = keys[starts] if mode == "exact" else lo + (keys[starts] + 0.5) * width
+    return ConditionalFamily(representatives, np.diff(starts, append=n) / n, ys[order], starts, rows=order)

@@ -323,7 +323,7 @@ def discontinuity_demo(n: int = 1000, seed: int = 0) -> dict:
     binned = i_conditional(sample, "bins", p=1.0)
 
     family = partition(sample, "bins")
-    decoupled = ConditionalFamily(
+    decoupled = ConditionalFamily.from_laws(
         family.representatives, (to_measure(sample.ys),) * family.k, family.group_weights
     )
     nested = adapted_wasserstein(family, decoupled, p=1.0)

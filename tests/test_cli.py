@@ -381,6 +381,105 @@ def test_concordance_stdout_bytes_are_pinned(tmp_path, capsys, extra):
     assert out == CONCORDANCE_STDOUT[extra]
 
 
+def _write_conditional_files(directory):
+    """The all-distinct-x pair, a tied-x pair and a tied-x file with 2-column y."""
+    rng = np.random.default_rng(21)
+    x = rng.integers(0, 4, size=60).astype(float)
+    y = np.column_stack([0.5 * x + rng.normal(size=60), rng.normal(size=60) - x])
+    tied = directory / "tied.csv"
+    tied.write_text("x,y\n" + "".join(f"{a!r},{b!r}\n" for a, b in zip(x.tolist(), y[:, 0].tolist())))
+    wide = directory / "wide.csv"
+    wide.write_text("x,y1,y2\n" + "".join(f"{a!r},{b!r},{c!r}\n" for a, (b, c) in zip(x.tolist(), y.tolist())))
+    return {
+        "distinct": ["--file", str(_write_pair(directory / "pair.csv")), "--x", "0", "--y", "1"],
+        "tied": ["--file", str(tied), "--x", "0", "--y", "1"],
+        "wide": ["--file", str(wide), "--x", "0", "--y", "1,2"],
+    }
+
+
+# Full stdout bytes of the conditional estimators, captured before the
+# conditional family became flat arrays: exact mode on each kind of file and
+# order, bins mode at a fixed cube count, and the discontinuity experiment.
+CONDITIONAL_STDOUT = {
+    ("distinct", "--partition", "exact", "--p", "1"): (
+        '{"denominator": 0.890957384654, "exceeds_unit": false, "index": "conditional", "n": 40, '
+        '"numerator": 0.890957384654, "p": 1.0, "partition": "exact", "seed": 0, "value": 1.0}\n'
+    ),
+    ("distinct", "--partition", "exact", "--p", "2"): (
+        '{"denominator": 1.36929507696, "exceeds_unit": false, "index": "conditional", "n": 40, '
+        '"numerator": 1.36929507696, "p": 2.0, "partition": "exact", "seed": 0, "value": 1.0}\n'
+    ),
+    ("distinct", "--partition", "exact", "--p", "3"): (
+        '{"denominator": 2.75282704954, "exceeds_unit": false, "index": "conditional", "n": 40, '
+        '"numerator": 2.75282704954, "p": 3.0, "partition": "exact", "seed": 0, "value": 1.0}\n'
+    ),
+    ("tied", "--partition", "exact", "--p", "1"): (
+        '{"denominator": 0.993669845679, "exceeds_unit": false, "index": "conditional", "n": 60, '
+        '"numerator": 0.442287933524, "p": 1.0, "partition": "exact", "seed": 0, '
+        '"value": 0.445105520156}\n'
+    ),
+    ("tied", "--partition", "exact", "--p", "2"): (
+        '{"denominator": 1.528408713, "exceeds_unit": false, "index": "conditional", "n": 60, '
+        '"numerator": 0.269899108336, "p": 2.0, "partition": "exact", "seed": 0, '
+        '"value": 0.176588307853}\n'
+    ),
+    ("tied", "--partition", "exact", "--p", "3"): (
+        '{"denominator": 2.89823400186, "exceeds_unit": false, "index": "conditional", "n": 60, '
+        '"numerator": 0.197842228176, "p": 3.0, "partition": "exact", "seed": 0, '
+        '"value": 0.0682630277782}\n'
+    ),
+    ("wide", "--partition", "exact", "--p", "1"): (
+        '{"denominator": 1.94971501863, "exceeds_unit": false, "index": "conditional", "n": 60, '
+        '"numerator": 0.99218060801, "p": 1.0, "partition": "exact", "seed": 0, '
+        '"value": 0.50888493884}\n'
+    ),
+    ("wide", "--partition", "exact", "--p", "2"): (
+        '{"denominator": 4.91777874814, "exceeds_unit": false, "index": "conditional", "n": 60, '
+        '"numerator": 1.48693866025, "p": 2.0, "partition": "exact", "seed": 0, '
+        '"value": 0.30235981251}\n'
+    ),
+    ("wide", "--partition", "exact", "--p", "3"): (
+        '{"denominator": 14.5887313561, "exceeds_unit": false, "index": "conditional", "n": 60, '
+        '"numerator": 2.43144252599, "p": 3.0, "partition": "exact", "seed": 0, '
+        '"value": 0.16666579613}\n'
+    ),
+    ("distinct", "--partition", "bins", "--bins", "3"): (
+        '{"bins": 3, "denominator": 0.913802445799, "exceeds_unit": false, '
+        '"index": "conditional", "n": 40, "numerator": 0.517869474068, "p": 1.0, '
+        '"partition": "bins", "seed": 0, "value": 0.566719290859}\n'
+    ),
+    ("wide", "--partition", "bins", "--bins", "3"): (
+        '{"bins": 3, "denominator": 1.98276103589, "exceeds_unit": false, '
+        '"index": "conditional", "n": 60, "numerator": 0.840875689603, "p": 1.0, '
+        '"partition": "bins", "seed": 0, "value": 0.424093309472}\n'
+    ),
+    ("tied", "--partition", "bins", "--bins", "3"): (
+        '{"bins": 3, "denominator": 1.01051170747, "exceeds_unit": false, '
+        '"index": "conditional", "n": 60, "numerator": 0.352506608082, "p": 1.0, '
+        '"partition": "bins", "seed": 0, "value": 0.348839707127}\n'
+    ),
+    ("discontinuity",): (
+        '{"binned_value": 0.0599567936712, "bins": 10, "exact_grouping_value": 1.0, "n": 1000, '
+        '"nested_distance": 0.020474841804, "population_value": 0.0, "seed": 0}\n'
+    ),
+    ("discontinuity", "--n", "300", "--seed", "5"): (
+        '{"binned_value": 0.164309585655, "bins": 7, "exact_grouping_value": 1.0, "n": 300, '
+        '"nested_distance": 0.0549378683556, "population_value": 0.0, "seed": 5}\n'
+    ),
+}
+
+
+@pytest.mark.parametrize("case", sorted(CONDITIONAL_STDOUT))
+def test_conditional_stdout_bytes_are_pinned(tmp_path, capsys, case):
+    data, *extra = case
+    argv = ["experiment", "discontinuity", *extra]
+    if data != "discontinuity":
+        argv = ["index", "conditional", *_write_conditional_files(tmp_path)[data], *extra]
+    code, out, _ = _run(capsys, argv)
+    assert code == 0
+    assert out == CONDITIONAL_STDOUT[case]
+
+
 def test_figure1_csv_matches_the_library_table(capsys):
     code, out, _ = _run(capsys, ["experiment", "figure1", "--grid", "5"])
     assert code == 0

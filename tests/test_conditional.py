@@ -155,9 +155,7 @@ def test_sorting_the_marginal_once_changes_no_bits(p):
     [(1.0, 1.0, 1e6, True), (1e12, 1e12, 0.0, True), (1e-12, 1e-12, 0.0, False)],
 )
 def test_the_sweep_agrees_with_the_oracle_off_unit_scale(p, x_scale, y_scale, y_offset, snap_y):
-    # x rounded to one decimal, so exact mode has groups of many rows. At
-    # 1e-12 the bins' absolute 1e-9 widening puts every row in one cube, and
-    # snap_y leaves y constant, so that scale runs bins without snap_y.
+    # x rounded to one decimal, so exact mode has groups of many rows.
     rng = np.random.default_rng(5)
     x = rng.normal(size=1500)
     y = 0.6 * x + 0.8 * rng.normal(size=1500)
@@ -185,7 +183,7 @@ def test_bins_mode_sorts_each_group_law_once_and_the_marginal_once(monkeypatch):
     assert family.k == 17 and all(law.n > 1 for law in family.laws)
     sorts, argsorts = [], []
     sort, argsort = np.sort, np.argsort
-    # Only sorts of y values count: the family's overlap check sorts row indices.
+    # Only sorts of y values count.
     monkeypatch.setattr(np, "sort", lambda a, *r, **kw: sorts.append(a.dtype.kind == "f") or sort(a, *r, **kw))
     monkeypatch.setattr(np, "argsort", lambda *a, **kw: argsorts.append(1) or argsort(*a, **kw))
     for p in (1.0, 2.0):
@@ -223,12 +221,7 @@ def test_quantile_route_matches_the_solver_route_on_weighted_laws(p):
     for law in family.laws:
         w = rng.uniform(0.1, 1.0, size=law.n)
         laws.append(DiscreteMeasure(law.points, w / w.sum()))
-    weighted = ConditionalFamily(
-        representatives=family.representatives,
-        laws=tuple(laws),
-        group_weights=family.group_weights,
-        groups=family.groups,
-    )
+    weighted = ConditionalFamily.from_laws(family.representatives, laws, family.group_weights)
     a = d_conditional(weighted, p=p)
     b = _solver_d_conditional(weighted, p)
     assert a == pytest.approx(b, abs=1e-9)
@@ -253,20 +246,10 @@ def test_lipschitz_ratio_recovers_a_linear_slope():
 def test_lipschitz_needs_distinct_groups():
     x = np.repeat(np.arange(2.0), 3)
     family = partition(PairedSample(x, x, seed=0), "exact")
-    single = ConditionalFamily(
-        representatives=family.representatives[:1],
-        laws=family.laws[:1],
-        group_weights=np.array([1.0]),
-        groups=family.groups[:1],
-    )
+    single = ConditionalFamily.from_laws(family.representatives[:1], family.laws[:1], np.array([1.0]))
     with pytest.raises(DataError):
         w_lipschitz_estimate(single)
-    stacked = ConditionalFamily(
-        representatives=np.zeros((2, 1)),
-        laws=family.laws,
-        group_weights=family.group_weights,
-        groups=family.groups,
-    )
+    stacked = ConditionalFamily.from_laws(np.zeros((2, 1)), family.laws, family.group_weights)
     with pytest.raises(DataError):
         w_lipschitz_estimate(stacked)
 
@@ -321,8 +304,8 @@ def test_nested_distance_matches_solver_inner_costs(p):
     conds2 = (DiscreteMeasure.dirac(rng.normal(size=2)),) + tuple(
         DiscreteMeasure(rng.normal(size=(5, 2)), rng.dirichlet(np.ones(5))) for _ in range(3)
     )
-    law1 = ConditionalFamily(x1, conds1, np.full(3, 1 / 3))
-    law2 = ConditionalFamily(x2, conds2, rng.dirichlet(np.ones(4)))
+    law1 = ConditionalFamily.from_laws(x1, conds1, np.full(3, 1 / 3))
+    law2 = ConditionalFamily.from_laws(x2, conds2, rng.dirichlet(np.ones(4)))
     inner = np.array([[solve_exact(a, b, CostSpec(p=p)) for b in conds2] for a in conds1])
     outer = np.abs(x1 - x2.T) ** p
     total = solve_from_cost(outer + inner, law1.group_weights, law2.group_weights)
@@ -366,3 +349,72 @@ def test_public_entry_points_reject_a_bad_order(name, p):
     """Every order outside [1, inf) is refused, as CostSpec refuses it."""
     with pytest.raises(ValueError, match="cost exponent p"):
         _order_calls(p)[name]()
+
+
+SCALES = [1e-12, 1e-9, 1e-6, 1e-3, 1.0, 1e3, 1e6, 1e9, 1e12]
+
+
+@pytest.mark.parametrize("snap_y", [False, True])
+@pytest.mark.parametrize("dx", [1, 2])
+@pytest.mark.parametrize("c", SCALES)
+def test_bins_do_not_depend_on_the_units_of_x(c, dx, snap_y):
+    # Cubes are integer indices over a box widened relative to each axis's
+    # range, so x -> c x + b moves no row to another cube at any scale.
+    rng = np.random.default_rng(30 + dx)
+    x = rng.uniform(size=(2000, dx))
+    y = x.sum(axis=1) + 0.3 * rng.normal(size=2000)
+    unit = i_conditional(PairedSample(x, y, seed=0), "bins", snap_y=snap_y)
+    assert unit.bins > 1 and 0.0 < unit.value < 1.0
+    for b in (0.0, -2.5 * c, 1e3 * c):
+        moved = i_conditional(PairedSample(c * x + b, y, seed=0), "bins", snap_y=snap_y)
+        assert (moved.value, moved.bins, moved.numerator) == (unit.value, unit.bins, unit.numerator)
+    if dx == 2:  # each axis in its own units
+        moved = i_conditional(PairedSample(x * [c, 1.0 / c], y, seed=0), "bins", snap_y=snap_y)
+        assert (moved.value, moved.bins) == (unit.value, unit.bins)
+
+
+@pytest.mark.parametrize("level", [0.0, -3.0, 1e12])
+def test_a_constant_x_axis_is_one_bin(level):
+    rng = np.random.default_rng(31)
+    x = rng.uniform(size=300)
+    y = x + 0.3 * rng.normal(size=300)
+    flat = partition(PairedSample(np.full(300, level), y), "bins")
+    assert flat.k == 1 and flat.representatives.tolist() == [[level]]
+    assert i_conditional(PairedSample(np.full(300, level), y), "bins").value == 0.0
+    both = partition(PairedSample(np.column_stack([x, np.full(300, level)]), y), "bins", phi=4)
+    assert both.k == 4 and np.all(both.representatives[:, 1] == level)
+    assert np.array_equal(both.rows, partition(PairedSample(x, y), "bins", phi=4).rows)
+
+
+@pytest.mark.parametrize("p", [1.0, 2.0])
+@pytest.mark.parametrize("mode, few, many", [("bins", 3, 40), ("exact", 0, 3)])
+def test_scalar_y_builds_no_measure_per_group(monkeypatch, p, mode, few, many):
+    # Bins mode takes the cube count, exact mode the decimals x is rounded to.
+    rng = np.random.default_rng(32)
+    x = rng.normal(size=3000)
+    y = 0.6 * x + 0.8 * rng.normal(size=3000)
+    built, init = [], DiscreteMeasure.__post_init__
+    monkeypatch.setattr(DiscreteMeasure, "__post_init__", lambda self: built.append(1) or init(self))
+    counts = []
+    for size in (few, many):
+        phi = size if mode == "bins" else None
+        sample = PairedSample(x if mode == "bins" else np.round(x, size), y, seed=0)
+        groups = partition(sample, mode, phi=phi).k
+        built.clear()
+        i_conditional(sample, mode, p=p, phi=phi)
+        counts.append((groups, len(built)))
+    (k_few, built_few), (k_many, built_many) = counts
+    assert k_many > 10 * k_few
+    assert built_many == built_few <= 3
+
+
+@pytest.mark.parametrize("p", [1.0, 2.0])
+def test_exact_mode_scores_one_on_two_hundred_thousand_distinct_rows(p):
+    # The discontinuity at scale: every group is one row, so a functional y
+    # and an independent y both read exactly 1.
+    rng = np.random.default_rng(33)
+    x = rng.normal(size=200_000)
+    assert len(np.unique(x)) == x.size
+    for y in (np.sin(3.0 * x) + x, rng.normal(size=200_000)):
+        report = i_conditional(PairedSample(x, y, seed=0), "exact", p=p)
+        assert report.value == 1.0 and report.numerator == report.denominator

@@ -18,7 +18,7 @@ from wassdep import (
     product_estimator,
     to_measure,
 )
-from wassdep.empirical import _snap_to_centers, dirac_transport_cost, rank_grid_values
+from wassdep.empirical import _cubes, dirac_transport_cost, rank_grid_values
 from wassdep.measures import cost_matrix, mixture
 
 
@@ -277,6 +277,11 @@ def test_gmd_pairwise_route_is_the_cost_matrix(monkeypatch):
         gmd_ustat(z, p=0.5)
 
 
+def _snap_to_centers(values, phi):
+    idx, lo, width = _cubes(values, phi)
+    return lo + (idx + 0.5) * width
+
+
 def _unique_partition(sample, mode, phi=None, snap_y=False):
     """The grouping as np.unique(axis=0) gives it: sorted distinct keys, each
     group's rows in their original order."""
@@ -313,52 +318,61 @@ def test_partition_groups_exactly_as_np_unique_does(case):
     family = partition(sample, mode, phi=phi, snap_y=snap_y)
     uniq, groups, laws, weights = _unique_partition(sample, mode, phi, snap_y)
     assert np.array_equal(family.representatives, uniq)
-    assert len(family.groups) == len(groups)
-    for got, want in zip(family.groups, groups):
-        assert np.array_equal(got, want)
+    assert np.array_equal(family.starts, np.cumsum([0] + [len(g) for g in groups[:-1]]))
+    assert np.array_equal(family.rows, np.concatenate(groups))
+    assert family.weights is None
     for got, want in zip(family.laws, laws):
         assert np.array_equal(got.points, want.points)
         assert np.array_equal(got.weights, want.weights)
     assert np.array_equal(family.group_weights, weights)
 
 
-def test_family_rejects_groups_that_share_a_row():
-    laws = (to_measure([0.0, 1.0]), to_measure([2.0]))
-    reps = np.array([[0.0], [1.0]])
-    with pytest.raises(DataError, match="groups overlap"):
-        ConditionalFamily(reps, laws, np.array([2 / 3, 1 / 3]), (np.array([3, 0]), np.array([0])))
-    ConditionalFamily(reps, laws, np.array([2 / 3, 1 / 3]), (np.array([2, 0]), np.array([1])))
+def test_family_rejects_starts_that_do_not_split_the_points():
+    points, reps, weights = np.arange(3.0), np.array([[0.0], [1.0]]), np.array([2 / 3, 1 / 3])
+    for bad in ([0, 3], [1, 2], [0, 0], [2, 0], [0]):
+        with pytest.raises(DataError, match="one nonempty conditional law per representative"):
+            ConditionalFamily(reps, weights, points, bad)
+    assert ConditionalFamily(reps, weights, points, [0, 2]).sizes.tolist() == [2, 1]
 
 
 def test_conditional_family_validation():
     cond = to_measure([0.0, 1.0])
-    family = ConditionalFamily(np.array([0.0]), (cond,), np.array([1.0]))
+    family = ConditionalFamily.from_laws(np.array([0.0]), (cond,), np.array([1.0]))
     assert family.k == 1
-    assert family.groups == ()
-    with pytest.raises(ValueError, match="one conditional"):
-        ConditionalFamily(np.array([0.0, 1.0]), (cond,), np.array([0.5, 0.5]))
-    with pytest.raises(ValueError, match="one conditional"):
-        ConditionalFamily(np.array([0.0]), (), np.array([1.0]))
-    with pytest.raises(ValueError, match="dimensions"):
-        ConditionalFamily(
+    assert family.rows is None and family.weights is None
+    with pytest.raises(ValueError, match="one nonempty conditional law per representative"):
+        ConditionalFamily.from_laws(np.array([0.0, 1.0]), (cond,), np.array([0.5, 0.5]))
+    with pytest.raises(ValueError, match="one or more conditional laws"):
+        ConditionalFamily.from_laws(np.array([0.0]), (), np.array([1.0]))
+    with pytest.raises(ValueError, match="dimension"):
+        ConditionalFamily.from_laws(
             np.array([0.0, 1.0]),
             (cond, to_measure(np.zeros((1, 2)))),
             np.array([0.5, 0.5]),
         )
 
 
+def test_family_atom_weights_are_checked_per_group():
+    reps, points, starts = np.array([0.0, 1.0]), np.arange(4.0), [0, 2]
+    family = ConditionalFamily(reps, [0.5, 0.5], points, starts, weights=[0.25, 0.75, 0.5, 0.5 + 5e-10])
+    assert [law.weights.tolist() for law in family.laws[:1]] == [[0.25, 0.75]]
+    for bad in ([0.5, 0.5, 0.25, 0.25], [1.5, -0.5, 0.5, 0.5], [0.5, np.nan, 0.5, 0.5], [0.5, 0.5, 1.0]):
+        with pytest.raises(ValueError, match="atom weights"):
+            ConditionalFamily(reps, [0.5, 0.5], points, starts, weights=bad)
+
+
 def test_family_weights_are_checked_within_tolerance():
     laws = (to_measure([0.0]), to_measure([1.0]))
     reps = np.array([0.0, 1.0])
-    ConditionalFamily(reps, laws, np.array([0.5, 0.5 + 5e-10]))
+    ConditionalFamily.from_laws(reps, laws, np.array([0.5, 0.5 + 5e-10]))
     for bad in ([0.5, 0.5 + 2e-9], [0.5, 0.5 - 2e-9], [1.5, -0.5], [0.5, np.nan]):
         with pytest.raises(ValueError, match="weights"):
-            ConditionalFamily(reps, laws, np.array(bad))
+            ConditionalFamily.from_laws(reps, laws, np.array(bad))
 
 
 def test_family_weights_one_ulp_short_of_one_are_stored_bit_for_bit():
     short = np.nextafter(1.0, 0.0)
     weights = np.array([0.5, short - 0.5])
     assert weights.sum() == short
-    family = ConditionalFamily(np.array([0.0, 1.0]), (to_measure([0.0]), to_measure([1.0])), weights)
+    family = ConditionalFamily.from_laws(np.array([0.0, 1.0]), (to_measure([0.0]), to_measure([1.0])), weights)
     assert family.group_weights.tobytes() == weights.tobytes()

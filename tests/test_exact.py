@@ -300,18 +300,18 @@ def test_gaussian_w2_rejects_an_indefinite_second_covariance_in_either_slot():
 
 def test_adapted_wasserstein_single_atom_reduces_to_inner_distance():
     outer = np.array([0.0])
-    law1 = ConditionalFamily(outer, (to_measure(np.array([0.0, 1.0])),), np.array([1.0]))
-    law2 = ConditionalFamily(outer, (DiscreteMeasure.dirac(0.0),), np.array([1.0]))
+    law1 = ConditionalFamily.from_laws(outer, (to_measure(np.array([0.0, 1.0])),), np.array([1.0]))
+    law2 = ConditionalFamily.from_laws(outer, (DiscreteMeasure.dirac(0.0),), np.array([1.0]))
     assert adapted_wasserstein(law1, law2, p=1.0) == pytest.approx(0.5)
 
 
 def test_adapted_wasserstein_couples_outer_atoms():
     cond_a = DiscreteMeasure.dirac(0.0)
     cond_b = DiscreteMeasure.dirac(10.0)
-    law1 = ConditionalFamily(np.array([0.0, 1.0]), (cond_a, cond_b), np.array([0.5, 0.5]))
-    law2 = ConditionalFamily(np.array([0.0, 1.0]), (cond_a, cond_b), np.array([0.5, 0.5]))
+    law1 = ConditionalFamily.from_laws(np.array([0.0, 1.0]), (cond_a, cond_b), np.array([0.5, 0.5]))
+    law2 = ConditionalFamily.from_laws(np.array([0.0, 1.0]), (cond_a, cond_b), np.array([0.5, 0.5]))
     assert adapted_wasserstein(law1, law2, p=1.0) == pytest.approx(0.0, abs=1e-12)
     # swapping the conditionals forces either an outer move or an inner move
-    law3 = ConditionalFamily(np.array([0.0, 1.0]), (cond_b, cond_a), np.array([0.5, 0.5]))
+    law3 = ConditionalFamily.from_laws(np.array([0.0, 1.0]), (cond_b, cond_a), np.array([0.5, 0.5]))
     got = adapted_wasserstein(law1, law3, p=1.0)
     assert got == pytest.approx(1.0)
