@@ -20,6 +20,7 @@ from .conditional import (
     d_conditional,
     d_conditional_entropic,
     gaussian_conditional_index,
+    gmd_plugin,
     i_conditional,
     w_lipschitz_estimate,
 )
@@ -28,7 +29,6 @@ from .empirical import (
     PairedSample,
     copula_transform,
     default_bin_count,
-    gmd_plugin,
     gmd_ustat,
     multivariate_ranks,
     partition,

@@ -7,21 +7,18 @@ zero when every conditional equals the marginal, one when Y is a function
 of X.
 
 A :class:`~wassdep.empirical.ConditionalFamily` holds its groups' y rows as
-one array cut at ``starts``. For scalar y at p = 1 or 2, :func:`i_conditional`
-hands that column to one prefix-sum sweep, ``exact._group_powers``, which
-reads every group's W_p^p against the y-marginal with no per-group measure.
-Exact mode spreads those costs over the sample rows the family stores; the
-plug-in discrepancy comes from the same helper and dot-product reduction, so
-a sample with all-distinct x values and Y = f(X) yields an index of exactly
-1.0, bit for bit. That exactness is also what makes the estimator
-discontinuous: an independent continuous sample has all-distinct x too.
-Every other W_p^p between two discrete laws here goes through one route
-selector, :func:`_transport_power`, on group laws built on first use.
+one array cut at ``starts``. Every W_p^p here comes from one route
+selector, :func:`_group_costs`, which reads the groups from those arrays:
+one prefix-sum sweep for uniform scalar groups at p = 1 or 2, else the
+forced coupling, the quantile integral or the exact solver per group.
+:func:`gmd_plugin` is the selector with every atom its own group, and exact
+mode reduces its row costs with the same dot product, so a sample with
+all-distinct x values and Y = f(X) yields an index of exactly 1.0, bit for
+bit. That exactness is also what makes the estimator discontinuous: an
+independent continuous sample has all-distinct x too.
 """
 
 from __future__ import annotations
-
-from itertools import combinations
 
 import numpy as np
 from scipy.spatial.distance import cdist
@@ -30,7 +27,6 @@ from .empirical import (
     ConditionalFamily,
     PairedSample,
     dirac_transport_cost,
-    gmd_plugin,
     gmd_ustat,
     partition,
     to_measure,
@@ -42,6 +38,7 @@ from .measures import CostSpec, DiscreteMeasure, _quantile_form
 from .report import IndexReport
 
 __all__ = [
+    "gmd_plugin",
     "d_conditional",
     "i_conditional",
     "gaussian_conditional_index",
@@ -51,37 +48,57 @@ __all__ = [
 ]
 
 
-def _transport_power(law: DiscreteMeasure, target: DiscreteMeasure, p: float) -> float:
-    """W_p^p between two discrete laws, by the cheapest exact route.
+def _group_costs(
+    points: np.ndarray, starts: np.ndarray, weights: np.ndarray | None, target: DiscreteMeasure, p: float
+) -> np.ndarray:
+    """W_p^p from each group of a flat family to ``target``: the one place in
+    the package that picks a transport route.
 
-    A one-point law has only the forced coupling; it reads the target in its
-    original order, as :func:`gmd_plugin` does for a multi-d law or p not in
-    {1, 2}, on which the exact 1.0 of such a functional sample depends.
-    Scalar laws take the quantile integral between the law's quantile form,
-    built for this call, and the target's, built once per measure. The law's
-    form is not kept: in the conditional indices each group law meets the
-    marginal once, so keeping it would only hold a second copy of its atoms
-    for the life of the family. Anything else goes to the exact solver,
-    which picks assignment or LP itself.
+    Group g is ``points[starts[g]:starts[g + 1]]`` with its slice of
+    ``weights`` (None: every group uniform). Uniform scalar groups against a
+    uniform scalar target at p = 1 or 2 take one ``_group_powers`` sweep.
+    Otherwise a group whose atoms coincide takes the forced coupling, which
+    reads the target in its original order as the plug-in discrepancy does;
+    a scalar group takes the quantile integral against the target's cached
+    quantile form; any other group is built as a measure for the solver.
     """
-    if law.n == 1 or np.all(law.points == law.points[0]):
-        return dirac_transport_cost(law.points[0], target.points, target.weights, p)
-    if law.dim == target.dim == 1:
-        return _quantile_cost(*_quantile_form(law.points[:, 0], law.weights), *target.quantile_form, p)
-    return solve_exact(law, target, CostSpec(p=p))
+    tw = target.weights
+    if weights is None and points.shape[1] == target.dim == 1 and p in (1, 2) and np.all(tw == tw[0]):
+        return _group_powers(points[:, 0], starts, target.points[:, 0], p)
+    bounds = np.append(starts, len(points))
+    costs = np.empty(len(starts))
+    for g, (lo, hi) in enumerate(zip(bounds[:-1], bounds[1:])):
+        atoms = points[lo:hi]
+        w = None if weights is None else weights[lo:hi]
+        if np.all(atoms == atoms[0]):
+            costs[g] = dirac_transport_cost(atoms[0], target.points, tw, p)
+        elif atoms.shape[1] == target.dim == 1:
+            form = _quantile_form(atoms[:, 0], np.full(hi - lo, 1.0 / (hi - lo)) if w is None else w)
+            costs[g] = _quantile_cost(*form, *target.quantile_form, p)
+        else:
+            costs[g] = solve_exact(DiscreteMeasure(atoms, w), target, CostSpec(p=p))
+    return costs
+
+
+def gmd_plugin(measure: DiscreteMeasure, p: float = 1.0) -> float:
+    """With-replacement mean p-th power discrepancy of a weighted measure:
+    :func:`_group_costs` with every atom its own group against the measure,
+    then the dot product exact mode's numerator takes, so the two agree bit
+    for bit on a functional sample."""
+    CostSpec(p=p)  # the one check on p: ValueError unless p >= 1
+    rows = _group_costs(measure.points, np.arange(measure.n), None, measure, p)
+    return float(np.dot(measure.weights, rows))
 
 
 def d_conditional(family: ConditionalFamily, p: float = 1.0) -> float:
     """Averaged conditional-to-marginal transport distance.
 
     Returns (sum_g w_g W_p(law_g, marginal)^p)^(1/p) against the family's
-    pooled y-marginal, each group's term by :func:`_transport_power` (forced
-    coupling, quantile integral for scalar y, or the exact solver). Zero iff
+    pooled y-marginal, each group's term from :func:`_group_costs`. Zero iff
     every group law equals the marginal.
     """
     CostSpec(p=p)  # the one check on p: ValueError unless p >= 1
-    marginal = family.pooled_marginal()
-    costs = np.array([_transport_power(law, marginal, p) for law in family.laws])
+    costs = _group_costs(family.points, family.starts, family.weights, family.pooled_marginal(), p)
     return float(np.dot(family.group_weights, costs)) ** (1.0 / p)
 
 
@@ -109,19 +126,14 @@ def i_conditional(
     """
     CostSpec(p=p)  # the one check on p: ValueError unless p >= 1
     family = partition(sample, mode, phi=phi, snap_y=snap_y)
-    if sample.dy == 1 and p in (1, 2):
-        # The grouped rows, snapped or not, are the marginal: no law is built.
-        costs = _group_powers(family.points[:, 0], family.starts, p)
-    else:
-        target = family.pooled_marginal() if snap_y else to_measure(sample.ys)
-        costs = np.array([_transport_power(law, target, p) for law in family.laws])
-
+    target = to_measure(family.points if snap_y else sample.ys)
+    costs = _group_costs(family.points, family.starts, family.weights, target, p)
     if mode == "exact":
-        marginal = to_measure(sample.ys)
         row_costs = np.empty(sample.n)
         row_costs[family.rows] = np.repeat(costs, family.sizes)
-        numerator_p = float(np.dot(marginal.weights, row_costs))
-        denominator_p = gmd_plugin(marginal, p)
+        numerator_p = float(np.dot(target.weights, row_costs))
+        # One row per group: these are gmd_plugin's row costs and dot product.
+        denominator_p = numerator_p if family.k == sample.n else gmd_plugin(target, p)
     else:
         numerator_p = float(np.dot(family.group_weights, costs))
         denominator_p = gmd_ustat(sample.ys, p)
@@ -166,15 +178,17 @@ def w_lipschitz_estimate(family: ConditionalFamily, p: float = 1.0) -> float:
     CostSpec(p=p)  # the one check on p: ValueError unless p >= 1
     if family.k < 2:
         raise DataError("need at least 2 groups")
-    laws, reps = family.laws, family.representatives
-    ratios = [
-        _transport_power(laws[g], laws[h], p) ** (1.0 / p) / gap
-        for g, h in combinations(range(family.k), 2)
-        if (gap := float(np.linalg.norm(reps[g] - reps[h]))) != 0.0
-    ]
+    reps, starts, weights = family.representatives, family.starts, family.weights
+    ratios = []
+    for h in range(1, family.k):
+        # Only the groups before h, so each unordered pair is costed once.
+        before = None if weights is None else weights[: starts[h]]
+        costs = _group_costs(family.points[: starts[h]], starts[:h], before, family.laws[h], p)
+        gaps = np.linalg.norm(reps[:h] - reps[h], axis=1)
+        ratios.extend(costs[gaps != 0.0] ** (1.0 / p) / gaps[gaps != 0.0])
     if not ratios:
         raise DataError("all group representatives coincide")
-    return max(ratios)
+    return float(max(ratios))
 
 
 def adapted_wasserstein(law1: ConditionalFamily, law2: ConditionalFamily, p: float = 1.0) -> float:
@@ -192,6 +206,6 @@ def adapted_wasserstein(law1: ConditionalFamily, law2: ConditionalFamily, p: flo
     outer = cdist(law1.representatives, law2.representatives)
     if p != 1:
         outer = outer ** p
-    inner = np.array([[_transport_power(a, b, p) for b in law2.laws] for a in law1.laws])
+    inner = np.column_stack([_group_costs(law1.points, law1.starts, law1.weights, b, p) for b in law2.laws])
     total = solve_from_cost(outer + inner, law1.group_weights, law2.group_weights)
     return max(total, 0.0) ** (1.0 / p)

@@ -15,7 +15,6 @@ import numpy as np
 from scipy.optimize import linear_sum_assignment
 from scipy.spatial.distance import cdist
 
-from .exact import _group_powers
 from .exceptions import DataError
 from .measures import WEIGHT_TOL, CostSpec, DiscreteMeasure, _as_points, _as_weights, cost_matrix, product_measure
 
@@ -24,7 +23,6 @@ __all__ = [
     "ConditionalFamily",
     "to_measure",
     "gmd_ustat",
-    "gmd_plugin",
     "dirac_transport_cost",
     "product_estimator",
     "copula_transform",
@@ -105,30 +103,12 @@ def gmd_ustat(rows, p: float = 1.0) -> float:
     return float((c.sum() - np.trace(c)) / (n * (n - 1)))
 
 
-def gmd_plugin(measure: DiscreteMeasure, p: float = 1.0) -> float:
-    """With-replacement mean p-th power discrepancy of a weighted measure.
-
-    A scalar measure with uniform weights at p = 1 or 2 reads every row's
-    cost from ``exact._group_powers``, each row its own group; any other
-    takes one :func:`dirac_transport_cost` per row. One dot product follows:
-    the same reduction as an all-dirac conditional numerator, so the two
-    agree bit for bit on a functional sample.
-    """
-    CostSpec(p=p)  # the one check on p: ValueError unless p >= 1
-    weights = measure.weights
-    if measure.dim == 1 and p in (1, 2) and np.all(weights == weights[0]):
-        rows = _group_powers(measure.points[:, 0], np.arange(measure.n), p)
-    else:
-        rows = np.array([dirac_transport_cost(point, measure.points, weights, p) for point in measure.points])
-    return float(np.dot(weights, rows))
-
-
 def dirac_transport_cost(point: np.ndarray, support: np.ndarray, weights: np.ndarray, p: float) -> float:
     """Expected d(point, Z)^p under the discrete law (support, weights).
 
     This is the p-th power transport cost from a one-point mass, whose
-    coupling is forced. Shared by the plug-in discrepancy and the
-    dirac-conditional fast path precisely so the two agree bit for bit.
+    coupling is forced: the route ``conditional._group_costs`` takes for a
+    group whose atoms coincide.
     """
     gaps = support - point
     if support.shape[1] == 1:
@@ -340,13 +320,16 @@ def partition(
     a ``phi``-per-axis grid over the data's bounding box, and represents each
     group by its cube's center. ``snap_y`` additionally coarsens the y-values
     onto their own cube centers (the variant used in the rate analysis; off
-    by default because the plain plug-in is the natural estimator). Groups
+    by default because the plain plug-in is the natural estimator). ``phi``
+    and ``snap_y`` are refused in ``exact`` mode, which has no cubes. Groups
     come in ascending key order, each listing its rows in their original order.
     """
     n, ys = sample.n, sample.ys
     if mode == "exact":
         if snap_y:
             raise DataError("snap_y only applies to bins mode")
+        if phi is not None:
+            raise DataError("a bin count only applies to bins mode")
         keys = sample.xs
     elif mode == "bins":
         if phi is None:

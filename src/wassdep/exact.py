@@ -1,14 +1,14 @@
-"""Exact discrete optimal transport and the one-dimensional closed form.
+"""Exact discrete optimal transport and the one-dimensional closed forms.
 
-The exact solver treats the two standard regimes separately. Uniform
-weights on n and m atoms reduce to a linear assignment problem on
-L = lcm(n, m) atoms, each source repeated L/n times and each sink L/m times
-(an optimal vertex of the Birkhoff polytope is a permutation). The route is
-taken when n == m, and otherwise while each cost entry is repeated at most
-20 times, the measured crossover with the LP. General marginals, and uniform
-ones past that bound, go through the sparse transport linear program. Both
-return certified optima of the same LP, so every downstream index can lean
-on them as oracles.
+The exact solver returns certified optima of the transport LP, so every
+downstream index can lean on it as an oracle. Uniform weights on n and m
+atoms are one linear assignment on L = lcm(n, m) atoms (an optimal vertex
+of the Birkhoff polytope is a permutation) when n == m or while each cost
+entry is repeated at most 20 times, the measured crossover; anything else
+is the sparse transport LP. Between scalar laws ``_quantile_cost`` merges
+two quantile forms, and ``_group_powers`` sweeps every group of a column
+against one uniform target at p = 1 or 2. Which route a conditional cost
+takes is decided only in ``conditional._group_costs``.
 """
 
 from __future__ import annotations
@@ -157,29 +157,30 @@ def _quantile_cost(xs: np.ndarray, cwx: np.ndarray, ys: np.ndarray, cwy: np.ndar
 _SWEEP_BLOCK = 1 << 15
 
 
-def _group_powers(values: np.ndarray, starts: np.ndarray, p: float) -> np.ndarray:
+def _group_powers(values: np.ndarray, starts: np.ndarray, target: np.ndarray, p: float) -> np.ndarray:
     """W_p^p, for p in {1, 2}, from the uniform law on each group of
-    ``values`` to the uniform law on all n of them.
+    ``values`` to the uniform law on the n values of ``target``.
 
     Group g is ``values[starts[g]:starts[g + 1]]``, the last one running to
-    the end. A group of m values, all equal, is one dirac (m = 1).
+    the end. A group of m values, all equal, is one dirac (m = 1); a group
+    equal to the target as a multiset costs exactly 0.
 
-    The values are sorted once into z and centred on the sorted values'
-    mean, so the result does not depend on their order. Levels are integer
+    The target is sorted once into z and centred on the sorted values'
+    mean, so the result does not depend on its order. Levels are integer
     counts in units of 1/(n m): a group's j-th smallest atom a holds on
-    [j n, (j + 1) n] and z_i on [i m, (i + 1) m], so the marginal segment
+    [j n, (j + 1) n] and z_i on [i m, (i + 1) m], so the target segment
     under level L is L // m. Over an atom's interval the integrals of Q and
-    Q^2, Q the marginal's quantile function, follow from the prefix sums of
+    Q^2, Q the target's quantile function, follow from the prefix sums of
     z and z^2. At p = 1 the interval splits where Q crosses a, at level m
     times the count of z below a; only an atom whose interval straddles its
     crossing searches for it. No running sum of 1/n enters a level.
 
-    A dirac's cost depends only on its value and the marginal. Exact-mode
-    rows and the plug-in discrepancy both read it here, so a functional
-    sample's numerator equals its denominator bit for bit.
+    A dirac's cost depends only on its value and the target, so exact-mode
+    rows and the plug-in discrepancy, which both read it here, agree bit
+    for bit on a functional sample.
     """
-    n = len(values)
-    z = np.sort(values)
+    n = len(target)
+    z = np.sort(target)
     mean = z.mean()
     z -= mean
     s1 = np.zeros(n + 1)
@@ -188,15 +189,15 @@ def _group_powers(values: np.ndarray, starts: np.ndarray, p: float) -> np.ndarra
         s2 = np.zeros(n + 1)
         np.cumsum(z * z, out=s2[1:])
     atoms = values - mean
-    sizes = np.diff(starts, append=n)
+    sizes = np.diff(starts, append=len(values))
     for g in np.flatnonzero(sizes > 1):
         group = slice(starts[g], starts[g] + sizes[g])
         atoms[group] = np.sort(atoms[group])
     m_of = np.where(atoms[starts] == atoms[starts + sizes - 1], 1, sizes)
     totals = np.zeros(len(starts))
 
-    for first in range(0, n, _SWEEP_BLOCK):
-        stop = min(first + _SWEEP_BLOCK, n)
+    for first in range(0, len(values), _SWEEP_BLOCK):
+        stop = min(first + _SWEEP_BLOCK, len(values))
         pos = np.arange(first, stop)
         g = np.searchsorted(starts, pos, side="right") - 1
         j = pos - starts[g]
@@ -229,7 +230,8 @@ def _group_powers(values: np.ndarray, starts: np.ndarray, p: float) -> np.ndarra
         cost[~live] = 0.0
         part = np.bincount(g - g[0], weights=cost)
         totals[g[0] : g[0] + len(part)] += part
-    totals[sizes == n] = 0.0  # one group holding every value is the marginal itself
+    same = [g for g in np.flatnonzero(sizes == n) if np.array_equal(atoms[starts[g] : starts[g] + n], z)]
+    totals[same] = 0.0
     return np.maximum(totals / (n * m_of), 0.0)
 
 

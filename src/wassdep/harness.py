@@ -16,8 +16,8 @@ from typing import Callable
 import numpy as np
 
 from .concordance import concordance_index
-from .conditional import adapted_wasserstein, gaussian_conditional_index, i_conditional
-from .empirical import ConditionalFamily, PairedSample, gmd_plugin, partition, product_estimator, to_measure
+from .conditional import adapted_wasserstein, gaussian_conditional_index, gmd_plugin, i_conditional
+from .empirical import ConditionalFamily, PairedSample, partition, product_estimator, to_measure
 from .entropic import sinkhorn_divergence
 from .exact import solve_exact, wasserstein_1d
 from .exceptions import DataError

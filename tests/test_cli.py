@@ -608,6 +608,16 @@ def test_bin_count_beyond_exact_floats_exits_1(tmp_path, capsys):
     assert code == 0 and json.loads(out)["bins"] == 50
 
 
+def test_bin_count_with_exact_partition_exits_1(tmp_path, capsys):
+    data = _write_pair(tmp_path / "pair.csv", n=50)
+    argv = ["index", "conditional", "--file", str(data), "--x", "0", "--y", "1", "--partition", "exact", "--bins"]
+    code, out, err = _run_without_warnings(capsys, argv + ["5"])
+    assert (code, out) == (1, "")
+    assert err.splitlines() == ["error: a bin count only applies to bins mode"]
+    code, out, _ = _run_without_warnings(capsys, argv + ["auto"])
+    assert code == 0 and json.loads(out)["partition"] == "exact"
+
+
 @pytest.mark.parametrize("replicates", ["0", "-1"])
 def test_rates_without_replicates_exits_1(capsys, replicates):
     argv = ["experiment", "rates", "--replicates", replicates]

@@ -5,18 +5,19 @@ import pytest
 
 from wassdep import conditional, empirical
 from wassdep.conditional import (
-    _transport_power,
+    _group_costs,
     adapted_wasserstein,
     d_conditional,
     d_conditional_entropic,
     gaussian_conditional_index,
+    gmd_plugin,
     i_conditional,
     w_lipschitz_estimate,
 )
-from wassdep.empirical import ConditionalFamily, PairedSample, gmd_plugin, partition, to_measure
-from wassdep.exact import solve_exact, solve_from_cost, wasserstein_1d
+from wassdep.empirical import ConditionalFamily, PairedSample, partition, to_measure
+from wassdep.exact import _group_powers, _quantile_cost, solve_exact, solve_from_cost, wasserstein_1d
 from wassdep.exceptions import DataError
-from wassdep.measures import CostSpec, DiscreteMeasure
+from wassdep.measures import CostSpec, DiscreteMeasure, _quantile_form
 
 
 def _tied_sample():
@@ -175,6 +176,26 @@ def test_bins_mode_stays_exact_at_twenty_thousand_rows(p):
     _assert_matches_the_oracle(PairedSample(x, 0.6 * x + 0.8 * rng.normal(size=20_000)), "bins", p)
 
 
+@pytest.mark.parametrize("p", [1.0, 2.0])
+def test_the_sweep_matches_the_quantile_route_against_a_target_of_another_size(p):
+    # Uniform groups with ties against a uniform target of N != n values,
+    # group by group through the route that merges quantile forms.
+    rng = np.random.default_rng(21)
+    target = np.round(rng.normal(size=37), 1)
+    sizes = [1, 3, 5, 5, 8, 37, 12]
+    values = np.round(rng.normal(0.3, 1.5, size=sum(sizes)), 1)
+    values[1:4] = 0.4  # a group of one repeated value is a dirac
+    starts = np.cumsum(sizes) - sizes
+    values[starts[5] : starts[5] + 37] = rng.permutation(target)  # the target itself
+    costs = _group_powers(values, starts, target, p)
+    want = _quantile_form(target, np.full(37, 1.0 / 37))
+    for g, group in enumerate(np.split(values, starts[1:])):
+        form = _quantile_form(group, np.full(len(group), 1.0 / len(group)))
+        assert abs(costs[g] - _quantile_cost(*form, *want, p)) <= 1e-12
+    assert costs[5] == 0.0
+    assert _group_powers(target[::-1], np.array([0]), target, p)[0] == 0.0
+
+
 def test_bins_mode_sorts_each_group_law_once_and_the_marginal_once(monkeypatch):
     rng = np.random.default_rng(2)
     x = rng.normal(size=5000)
@@ -213,6 +234,22 @@ def test_exact_mode_and_the_plugin_discrepancy_make_no_per_row_dirac_call(monkey
     assert 0.0 < i_conditional(PairedSample(tied, y, seed=0), mode="exact", p=p).value < 1.0
 
 
+@pytest.mark.parametrize("p", [1.0, 2.0, 3.0])
+def test_exact_mode_with_one_row_per_group_reads_the_routes_once(monkeypatch, p):
+    # Every group is one row, so the numerator is the plug-in discrepancy:
+    # one selector call serves both, bit for bit.
+    rng = np.random.default_rng(9)
+    x, y = rng.normal(size=500), rng.normal(size=500)
+    calls, select = [], conditional._group_costs
+    monkeypatch.setattr(conditional, "_group_costs", lambda *a: calls.append(1) or select(*a))
+    report = i_conditional(PairedSample(x, y, seed=0), mode="exact", p=p)
+    assert len(calls) == 1
+    assert report.value == 1.0 and report.denominator == gmd_plugin(to_measure(y), p)
+    calls.clear()
+    i_conditional(PairedSample(np.round(x, 1), y, seed=0), mode="exact", p=p)
+    assert len(calls) == 2  # tied x: the groups, then every row for the discrepancy
+
+
 @pytest.mark.parametrize("p", [1.0, 2.0])
 def test_quantile_route_matches_the_solver_route_on_weighted_laws(p):
     family = partition(_shuffled_tied_sample(), "exact")
@@ -225,6 +262,17 @@ def test_quantile_route_matches_the_solver_route_on_weighted_laws(p):
     a = d_conditional(weighted, p=p)
     b = _solver_d_conditional(weighted, p)
     assert a == pytest.approx(b, abs=1e-9)
+
+
+@pytest.mark.parametrize("p", [1.0, 2.0])
+def test_a_weighted_target_is_not_swept_as_uniform(p):
+    rng = np.random.default_rng(15)
+    z, w = rng.normal(size=30), rng.dirichlet(np.ones(30))
+    want = float(w @ np.abs(z[:, None] - z[None, :]) ** p @ w)
+    assert gmd_plugin(DiscreteMeasure(z, w), p) == pytest.approx(want, abs=1e-12)
+    family = partition(_shuffled_tied_sample(), "exact")
+    skewed = ConditionalFamily(family.representatives, rng.dirichlet(np.ones(family.k)), family.points, family.starts)
+    assert d_conditional(skewed, p) == pytest.approx(_solver_d_conditional(skewed, p), abs=1e-12)
 
 
 def test_entropic_average_sits_above_exact_and_grows_with_eps():
@@ -240,7 +288,9 @@ def test_entropic_average_sits_above_exact_and_grows_with_eps():
 def test_lipschitz_ratio_recovers_a_linear_slope():
     x = np.repeat(np.arange(4.0), 2)
     family = partition(PairedSample(x, 2.0 * x, seed=0), "exact")
-    assert w_lipschitz_estimate(family, p=1.0) == pytest.approx(2.0, abs=1e-12)
+    estimate = w_lipschitz_estimate(family, p=1.0)
+    assert type(estimate) is float
+    assert estimate == pytest.approx(2.0, abs=1e-12)
 
 
 def test_lipschitz_needs_distinct_groups():
@@ -260,6 +310,11 @@ def test_partition_mode_is_validated():
 
 
 # The route selector against the solver, law by law and in both directions.
+
+
+def _transport_power(law, target, p):
+    """The route selector on a family of one group: W_p^p from law to target."""
+    return _group_costs(law.points, np.zeros(1, dtype=np.int64), law.weights, target, p)[0]
 
 
 @pytest.mark.parametrize("p", [1.0, 2.0, 3.0])

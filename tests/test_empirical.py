@@ -232,6 +232,9 @@ def test_snap_y_only_in_bins_mode():
     sample = PairedSample(np.arange(6.0), np.arange(6.0))
     with pytest.raises(DataError):
         partition(sample, "exact", snap_y=True)
+    with pytest.raises(DataError, match="bin count only applies to bins mode"):
+        partition(sample, "exact", phi=3)
+    assert partition(sample, "exact", phi=None).k == 6
     fam = partition(sample, "bins", phi=2, snap_y=True)
     snapped = np.concatenate([law.points[:, 0] for law in fam.laws])
     assert len(np.unique(snapped)) <= 2

@@ -1,13 +1,18 @@
 """Every name a module imports is used in that module, every private helper
-is used somewhere in the package, and the CLI imports lightly."""
+is used somewhere in the package, the CLI imports lightly, transport routes
+are called only from the one route selector, and every exported name
+resolves and is listed by one module."""
 
 import ast
+import importlib
 import os
 import subprocess
 import sys
 from pathlib import Path
 
 import pytest
+
+import wassdep
 
 PACKAGE = Path(__file__).resolve().parents[1] / "src" / "wassdep"
 MODULES = sorted(p for p in PACKAGE.glob("*.py") if p.name != "__init__.py")
@@ -58,3 +63,35 @@ def test_cli_import_leaves_scipy_stats_unloaded():
     probe = "import sys, wassdep.cli; print('scipy.stats' in sys.modules)"
     out = subprocess.run([sys.executable, "-c", probe], env=env, capture_output=True, text=True, check=True)
     assert out.stdout.strip() == "False"
+
+
+def _callers(tree: ast.Module, names: set[str]) -> set[tuple[str, str]]:
+    """(top-level function, callee) for every call by bare name to ``names``."""
+    found = set()
+    for top in tree.body:
+        for node in ast.walk(top):
+            if isinstance(node, ast.Call) and isinstance(node.func, ast.Name) and node.func.id in names:
+                found.add((getattr(top, "name", "<module>"), node.func.id))
+    return found
+
+
+def test_transport_routes_are_picked_in_one_place():
+    # The conditional layer's routes are called only by its route selector,
+    # and the mean discrepancy no longer picks a route of its own.
+    routes = {"_group_powers", "_quantile_cost", "dirac_transport_cost", "solve_exact"}
+    conditional = ast.parse((PACKAGE / "conditional.py").read_text())
+    callers = _callers(conditional, routes)
+    assert {callee for _, callee in callers} == routes
+    assert {caller for caller, _ in callers} == {"_group_costs"}
+    assert _callers(ast.parse((PACKAGE / "empirical.py").read_text()), {"_group_powers"}) == set()
+
+
+def test_every_exported_name_resolves_and_is_listed_once():
+    assert [name for name in wassdep.__all__ if not hasattr(wassdep, name)] == []
+    owners: dict[str, list[str]] = {}
+    for path in MODULES:
+        module = importlib.import_module(f"wassdep.{path.stem}")
+        for name in getattr(module, "__all__", ()):
+            assert hasattr(module, name), f"{path.stem}.{name}"
+            owners.setdefault(name, []).append(path.stem)
+    assert {name: mods for name, mods in owners.items() if len(mods) > 1} == {}
