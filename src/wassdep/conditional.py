@@ -12,7 +12,7 @@ selector, :func:`_group_costs`, which reads the groups from those arrays:
 one prefix-sum sweep for uniform scalar groups at p = 1 or 2, else the
 forced coupling, the quantile integral or the exact solver per group.
 :func:`gmd_plugin` is the selector with every atom its own group, and exact
-mode reduces its row costs with the same dot product, so a sample with
+mode reduces its row costs with the same weighted sum, so a sample with
 all-distinct x values and Y = f(X) yields an index of exactly 1.0, bit for
 bit. That exactness is also what makes the estimator discontinuous: an
 independent continuous sample has all-distinct x too.
@@ -21,7 +21,6 @@ independent continuous sample has all-distinct x too.
 from __future__ import annotations
 
 import numpy as np
-from scipy.spatial.distance import cdist
 
 from .empirical import (
     ConditionalFamily,
@@ -34,7 +33,7 @@ from .empirical import (
 from .entropic import sinkhorn_discrepancy
 from .exact import _group_powers, _quantile_cost, solve_exact, solve_from_cost
 from .exceptions import DataError, DegenerateMarginalError
-from .measures import CostSpec, DiscreteMeasure, _quantile_form
+from .measures import CostSpec, DiscreteMeasure, _quantile_form, _weighted_sum, cost_matrix
 from .report import IndexReport
 
 __all__ = [
@@ -83,11 +82,11 @@ def _group_costs(
 def gmd_plugin(measure: DiscreteMeasure, p: float = 1.0) -> float:
     """With-replacement mean p-th power discrepancy of a weighted measure:
     :func:`_group_costs` with every atom its own group against the measure,
-    then the dot product exact mode's numerator takes, so the two agree bit
+    then the weighted sum exact mode's numerator takes, so the two agree bit
     for bit on a functional sample."""
     CostSpec(p=p)  # the one check on p: ValueError unless p >= 1
     rows = _group_costs(measure.points, np.arange(measure.n), None, measure, p)
-    return float(np.dot(measure.weights, rows))
+    return _weighted_sum(measure.weights, rows)
 
 
 def d_conditional(family: ConditionalFamily, p: float = 1.0) -> float:
@@ -95,11 +94,15 @@ def d_conditional(family: ConditionalFamily, p: float = 1.0) -> float:
 
     Returns (sum_g w_g W_p(law_g, marginal)^p)^(1/p) against the family's
     pooled y-marginal, each group's term from :func:`_group_costs`. Zero iff
-    every group law equals the marginal.
+    every group law equals the marginal. When every group is uniform and
+    weighs its share of the rows, as from :func:`partition`, the marginal is
+    the uniform law on the rows, so scalar groups take the one sweep.
     """
     CostSpec(p=p)  # the one check on p: ValueError unless p >= 1
-    costs = _group_costs(family.points, family.starts, family.weights, family.pooled_marginal(), p)
-    return float(np.dot(family.group_weights, costs)) ** (1.0 / p)
+    by_rows = family.weights is None and np.array_equal(family.group_weights, family.sizes / len(family.points))
+    target = to_measure(family.points) if by_rows else family.pooled_marginal()
+    costs = _group_costs(family.points, family.starts, family.weights, target, p)
+    return _weighted_sum(family.group_weights, costs) ** (1.0 / p)
 
 
 def gaussian_conditional_index(rho: float) -> float:
@@ -131,11 +134,11 @@ def i_conditional(
     if mode == "exact":
         row_costs = np.empty(sample.n)
         row_costs[family.rows] = np.repeat(costs, family.sizes)
-        numerator_p = float(np.dot(target.weights, row_costs))
-        # One row per group: these are gmd_plugin's row costs and dot product.
+        numerator_p = _weighted_sum(target.weights, row_costs)
+        # One row per group: these are gmd_plugin's row costs and weighted sum.
         denominator_p = numerator_p if family.k == sample.n else gmd_plugin(target, p)
     else:
-        numerator_p = float(np.dot(family.group_weights, costs))
+        numerator_p = _weighted_sum(family.group_weights, costs)
         denominator_p = gmd_ustat(sample.ys, p)
 
     if denominator_p <= 0.0:
@@ -168,7 +171,7 @@ def d_conditional_entropic(
     """
     marginal = family.pooled_marginal()
     values = np.array([sinkhorn_discrepancy(law, marginal, eps, spec) for law in family.laws])
-    return float(np.dot(family.group_weights, values))
+    return _weighted_sum(family.group_weights, values)
 
 
 def w_lipschitz_estimate(family: ConditionalFamily, p: float = 1.0) -> float:
@@ -202,10 +205,8 @@ def adapted_wasserstein(law1: ConditionalFamily, law2: ConditionalFamily, p: flo
         raise ValueError("first-coordinate dimensions disagree")
     if law1.points.shape[1] != law2.points.shape[1]:
         raise ValueError("conditional dimensions disagree")
-    CostSpec(p=p)  # the one check on p: ValueError unless p >= 1
-    outer = cdist(law1.representatives, law2.representatives)
-    if p != 1:
-        outer = outer ** p
+    spec = CostSpec(p=p)  # the one check on p: ValueError unless p >= 1
+    outer = cost_matrix(DiscreteMeasure(law1.representatives), DiscreteMeasure(law2.representatives), spec)
     inner = np.column_stack([_group_costs(law1.points, law1.starts, law1.weights, b, p) for b in law2.laws])
     total = solve_from_cost(outer + inner, law1.group_weights, law2.group_weights)
     return max(total, 0.0) ** (1.0 / p)

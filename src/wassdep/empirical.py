@@ -16,7 +16,9 @@ from scipy.optimize import linear_sum_assignment
 from scipy.spatial.distance import cdist
 
 from .exceptions import DataError
-from .measures import WEIGHT_TOL, CostSpec, DiscreteMeasure, _as_points, _as_weights, cost_matrix, product_measure
+from .measures import (
+    WEIGHT_TOL, CostSpec, DiscreteMeasure, _as_points, _as_weights, _weighted_sum, cost_matrix, product_measure
+)
 
 __all__ = [
     "PairedSample",
@@ -93,12 +95,12 @@ def gmd_ustat(rows, p: float = 1.0) -> float:
         centered = z - z.mean(axis=0)
         sq = np.einsum("ij,ij->", centered, centered)
         drift = centered.sum(axis=0)
-        total = 2.0 * n * sq - 2.0 * float(drift @ drift)
+        total = 2.0 * n * sq - 2.0 * _weighted_sum(drift, drift)
         return max(float(total / (n * (n - 1))), 0.0)
     if p == 1 and z.shape[1] == 1:
         s = np.sort(z[:, 0])
         coeff = 2.0 * np.arange(1 - n, n, 2)
-        return float(np.dot(coeff, s) / (n * (n - 1)))
+        return _weighted_sum(coeff, s) / (n * (n - 1))
     c = cost_matrix(m, m, CostSpec(p=p))
     return float((c.sum() - np.trace(c)) / (n * (n - 1)))
 
@@ -115,9 +117,7 @@ def dirac_transport_cost(point: np.ndarray, support: np.ndarray, weights: np.nda
         d = np.abs(gaps[:, 0])
     else:
         d = np.sqrt(np.einsum("ij,ij->i", gaps, gaps))
-    if p != 1:
-        d = d ** p
-    return float(np.dot(weights, d))
+    return _weighted_sum(weights, d, p)
 
 
 # ---------------------------------------------------------------------------

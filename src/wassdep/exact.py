@@ -20,7 +20,7 @@ from scipy import sparse
 from scipy.optimize import linear_sum_assignment, linprog
 
 from .exceptions import ExactSolverError
-from .measures import CostSpec, DiscreteMeasure, cost_matrix
+from .measures import CostSpec, DiscreteMeasure, _weighted_sum, cost_matrix
 
 __all__ = [
     "solve_exact",
@@ -145,10 +145,7 @@ def _quantile_cost(xs: np.ndarray, cwx: np.ndarray, ys: np.ndarray, cwy: np.ndar
     on_edge = np.flatnonzero(mids <= edges[:-1])
     qx[on_edge] = xs[np.minimum(np.searchsorted(cwx, mids[on_edge]), len(xs) - 1)]
     qy[on_edge] = ys[np.minimum(np.searchsorted(cwy, mids[on_edge]), len(ys) - 1)]
-    gaps = np.abs(qx - qy)
-    if p != 1:
-        gaps = gaps ** p
-    return float(np.dot(seg, gaps))
+    return _weighted_sum(seg, np.abs(qx - qy), p)
 
 
 # Atoms per block of :func:`_group_powers`. Only the sorted values, their

@@ -117,6 +117,15 @@ class DiscreteMeasure:
         return _quantile_form(self.points[:, 0], self.weights)
 
 
+def _weighted_sum(weights: np.ndarray, values: np.ndarray, p: float = 1.0) -> float:
+    """sum_i weights[i] * values[i] ** p by numpy's pairwise sum: the one
+    reduction of every weighted sum in the package. Its order is numpy's,
+    not BLAS's, so its bits do not depend on the BLAS thread count."""
+    if p != 1:
+        values = values ** p
+    return float((weights * values).sum())
+
+
 def _quantile_form(values: np.ndarray, weights: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """A scalar law's atoms in stable ascending order and their cumulative
     weights: the breakpoints and values of its quantile function."""

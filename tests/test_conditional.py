@@ -1,9 +1,15 @@
 """Conditional dependence: averaged conditional-to-marginal transport."""
 
+import json
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
-from wassdep import conditional, empirical
+from wassdep import conditional, empirical, measures
 from wassdep.conditional import (
     _group_costs,
     adapted_wasserstein,
@@ -473,3 +479,65 @@ def test_exact_mode_scores_one_on_two_hundred_thousand_distinct_rows(p):
     for y in (np.sin(3.0 * x) + x, rng.normal(size=200_000)):
         report = i_conditional(PairedSample(x, y, seed=0), "exact", p=p)
         assert report.value == 1.0 and report.numerator == report.denominator
+
+
+@pytest.mark.parametrize("p", [1.0, 2.0])
+@pytest.mark.parametrize("mode", ["bins", "exact"])
+def test_d_conditional_on_a_partition_takes_the_one_sweep(monkeypatch, p, mode):
+    # A family from partition weighs each group by its share of the rows, so
+    # its marginal is the uniform law on the rows and no group is costed by
+    # the quantile route.
+    monkeypatch.setattr(conditional, "_quantile_cost", _raise)
+    rng = np.random.default_rng(34)
+    x = rng.normal(size=2000)
+    y = 0.6 * x + 0.8 * rng.normal(size=2000)
+    family = partition(PairedSample(np.round(x, 1), y, seed=0), mode)
+    groups = [law.points[:, 0] for law in family.laws]
+    want = float(_oracle_numerator(groups, np.concatenate(groups), p)) ** (1.0 / p)
+    assert abs(d_conditional(family, p=p) - want) <= 1e-13 * want
+
+
+def test_nested_distance_refuses_an_outer_cost_beyond_physical_memory(monkeypatch):
+    monkeypatch.setattr(measures, "PHYSICAL_MEMORY", 100)
+    family = partition(_tied_sample(), "exact")
+    with pytest.raises(DataError, match=f"{family.k} x {family.k} cost matrix"):
+        adapted_wasserstein(family, family)
+
+
+_THREAD_PROBE = """
+import json
+import numpy as np
+from wassdep.conditional import d_conditional, gmd_plugin, i_conditional
+from wassdep.empirical import PairedSample, gmd_ustat, partition, to_measure
+
+values = {}
+for n in (20_000, 200_000):
+    rng = np.random.default_rng(n)
+    x = rng.normal(size=n)
+    y = 0.6 * x + 0.8 * rng.normal(size=n)
+    sample, tied = PairedSample(x, y), PairedSample(np.round(x, 2), y)
+    bins, exact = i_conditional(sample, "bins"), i_conditional(tied, "exact")
+    values[n] = [
+        gmd_ustat(y),
+        gmd_plugin(to_measure(y)),
+        bins.numerator,
+        bins.value,
+        exact.numerator,
+        exact.denominator,
+        d_conditional(partition(sample, "bins")),
+        d_conditional(partition(tied, "exact"), p=2.0),
+    ]
+print(json.dumps(values))
+"""
+
+
+def test_values_do_not_depend_on_the_blas_thread_count():
+    # A BLAS dot product splits a long vector across threads, so its bits
+    # depend on the thread count; every weighted sum here is numpy's own.
+    src = str(Path(conditional.__file__).resolve().parents[1])
+    outputs = []
+    for threads in ("1", "2"):
+        env = dict(os.environ, PYTHONPATH=src, OPENBLAS_NUM_THREADS=threads)
+        run = subprocess.run([sys.executable, "-c", _THREAD_PROBE], env=env, capture_output=True, text=True, check=True)
+        outputs.append(json.loads(run.stdout))
+    assert outputs[0] == outputs[1]

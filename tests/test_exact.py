@@ -21,6 +21,7 @@ from wassdep import (
     PairedSample,
     adapted_wasserstein,
     cost_matrix,
+    d_conditional,
     gaussian_w2,
     i_joint,
     product_estimator,
@@ -29,6 +30,7 @@ from wassdep import (
     to_measure,
     wasserstein_1d,
 )
+from wassdep.empirical import dirac_transport_cost
 from wassdep.exceptions import DataError
 
 
@@ -315,3 +317,64 @@ def test_adapted_wasserstein_couples_outer_atoms():
     law3 = ConditionalFamily.from_laws(np.array([0.0, 1.0]), (cond_b, cond_a), np.array([0.5, 0.5]))
     got = adapted_wasserstein(law1, law3, p=1.0)
     assert got == pytest.approx(1.0)
+
+
+# ---------------------------------------------------------------------------
+# Zero-weight atoms: every route costs a law as if they were dropped
+# ---------------------------------------------------------------------------
+
+
+def _with_zero_weights(rng, n, dim):
+    """A law on n moderate-scale atoms, three of which weigh 0, and the same
+    law with those three dropped. In one dimension the zeros sit on the
+    smallest atom, the largest, and one tied with a kept atom."""
+    points = 5.0 + 3.0 * rng.normal(size=(n, dim))
+    weights = rng.random(n) + 0.1
+    order = np.argsort(points[:, 0])
+    zeros = [order[0], order[n // 2], order[-1]]
+    points[order[n // 2]] = points[order[n // 2 + 1]]
+    weights[zeros] = 0.0
+    weights /= weights.sum()
+    keep = weights > 0
+    return DiscreteMeasure(points, weights), DiscreteMeasure(points[keep], weights[keep])
+
+
+@pytest.mark.parametrize("p", [1.0, 2.0, 3.0])
+def test_zero_weight_atoms_cost_nothing_on_the_quantile_route(p):
+    rng = np.random.default_rng(40)
+    (a, a_kept), (b, b_kept) = _with_zero_weights(rng, 9, 1), _with_zero_weights(rng, 7, 1)
+    want = wasserstein_1d(a_kept, b_kept, p) ** p
+    for src, dst in ((a, b), (a, b_kept), (a_kept, b)):
+        assert wasserstein_1d(src, dst, p) ** p == pytest.approx(want, rel=1e-12)
+
+
+@pytest.mark.parametrize("p", [1.0, 2.0, 3.0])
+def test_zero_weight_atoms_cost_nothing_in_the_transport_lp(p):
+    rng = np.random.default_rng(41)
+    (a, a_kept), (b, b_kept) = _with_zero_weights(rng, 10, 2), _with_zero_weights(rng, 8, 2)
+    spec = CostSpec(p=p)
+    want = solve_exact(a_kept, b_kept, spec)
+    for src, dst in ((a, b), (a, b_kept), (a_kept, b)):
+        assert solve_exact(src, dst, spec) == pytest.approx(want, rel=1e-12)
+
+
+@pytest.mark.parametrize("p", [1.0, 2.0, 3.0])
+@pytest.mark.parametrize("dim", [1, 2])
+def test_zero_weight_atoms_cost_nothing_under_the_forced_coupling(p, dim):
+    law, kept = _with_zero_weights(np.random.default_rng(42), 11, dim)
+    point = np.full(dim, 4.5)
+    want = dirac_transport_cost(point, kept.points, kept.weights, p)
+    assert dirac_transport_cost(point, law.points, law.weights, p) == pytest.approx(want, rel=1e-12)
+
+
+@pytest.mark.parametrize("p", [1.0, 2.0, 3.0])
+def test_zero_weight_atoms_cost_nothing_in_a_conditional_family(p):
+    # The last law keeps one atom, so dropping its zeros makes it a dirac.
+    rng = np.random.default_rng(43)
+    pairs = [_with_zero_weights(rng, n, 1) for n in (6, 9, 5)]
+    lone = DiscreteMeasure([[2.0], [7.0], [7.5]], [0.0, 1.0, 0.0])
+    pairs.append((lone, DiscreteMeasure([[7.0]])))
+    reps, group_weights = np.arange(4.0), np.array([0.4, 0.3, 0.2, 0.1])
+    family = ConditionalFamily.from_laws(reps, [law for law, _ in pairs], group_weights)
+    dropped = ConditionalFamily.from_laws(reps, [kept for _, kept in pairs], group_weights)
+    assert d_conditional(family, p) ** p == pytest.approx(d_conditional(dropped, p) ** p, rel=1e-12)

@@ -1,7 +1,7 @@
 """Every name a module imports is used in that module, every private helper
 is used somewhere in the package, the CLI imports lightly, transport routes
-are called only from the one route selector, and every exported name
-resolves and is listed by one module."""
+are called only from the one route selector, no weighted sum goes through
+BLAS, and every exported name resolves and is listed by one module."""
 
 import ast
 import importlib
@@ -84,6 +84,20 @@ def test_transport_routes_are_picked_in_one_place():
     assert {callee for _, callee in callers} == routes
     assert {caller for caller, _ in callers} == {"_group_costs"}
     assert _callers(ast.parse((PACKAGE / "empirical.py").read_text()), {"_group_powers"}) == set()
+
+
+@pytest.mark.parametrize("path", [p for p in MODULES if p.name != "gaussian.py"], ids=lambda p: p.name)
+def test_no_weighted_sum_goes_through_blas(path):
+    # A BLAS product's bits depend on its thread count; measures._weighted_sum
+    # is the one reduction. Only the Gaussian closed forms multiply matrices.
+    tree = ast.parse(path.read_text())
+    products = [
+        node.lineno
+        for node in ast.walk(tree)
+        if isinstance(getattr(node, "op", None), ast.MatMult)
+        or (isinstance(node, ast.Attribute) and node.attr in {"dot", "vdot", "inner", "matmul"})
+    ]
+    assert products == []
 
 
 def test_every_exported_name_resolves_and_is_listed_once():

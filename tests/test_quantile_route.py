@@ -37,7 +37,7 @@ def _reference_quantile_cost(x: np.ndarray, wx: np.ndarray, y: np.ndarray, wy: n
     gaps = np.abs(qx - qy)
     if p != 1:
         gaps = gaps ** p
-    return float(np.dot(seg, gaps))
+    return float((seg * gaps).sum())
 
 
 def _assert_same_bits(x, wx, y, wy):
