@@ -215,6 +215,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     ot = sub.add_parser("ot", help="exact distance between two point clouds")
+    ot.set_defaults(run=_run_ot)
     ot.add_argument("first")
     ot.add_argument("second")
     ot.add_argument("--p", type=float, default=2.0)
@@ -224,6 +225,7 @@ def build_parser() -> argparse.ArgumentParser:
     index_sub = index.add_subparsers(dest="index_kind", required=True)
 
     joint = index_sub.add_parser("joint")
+    joint.set_defaults(run=_run_joint)
     _add_sample_args(joint)
     joint.add_argument("--p", type=float, default=1.0)
     joint.add_argument("--alpha", type=float, default=None)
@@ -231,24 +233,29 @@ def build_parser() -> argparse.ArgumentParser:
     joint.add_argument("--variant", choices=["min_gmd", "scaled_metric"], default="min_gmd")
 
     cond = index_sub.add_parser("conditional")
+    cond.set_defaults(run=_run_conditional)
     _add_sample_args(cond)
     cond.add_argument("--p", type=float, default=1.0)
     cond.add_argument("--partition", choices=["exact", "bins"], default="bins")
     cond.add_argument("--bins", type=_bins, default=None, help="'auto' or a cube count")
 
     gauss = index_sub.add_parser("gaussian")
+    gauss.set_defaults(run=lambda args: emit_report(gaussian_index_report(_sample(args))))
     _add_sample_args(gauss)
 
     conc = index_sub.add_parser("concordance")
+    conc.set_defaults(run=_run_concordance)
     _add_sample_args(conc)
     conc.add_argument("--mode", choices=["raw", "copula"], default="copula")
     conc.add_argument("--center", type=float, default=None, help="symmetry center a (raw mode)")
 
     marti = index_sub.add_parser("marti")
+    marti.set_defaults(run=_run_marti)
     _add_sample_args(marti)
     marti.add_argument("--p", type=float, default=1.0)
 
     test = sub.add_parser("test", help="permutation independence test")
+    test.set_defaults(run=_run_test)
     _add_sample_args(test)
     test.add_argument("--statistic", choices=sorted(STATISTICS), default="d_joint")
     test.add_argument("--permutations", type=int, default=99)
@@ -257,18 +264,25 @@ def build_parser() -> argparse.ArgumentParser:
     exp_sub = exp.add_subparsers(dest="experiment_kind", required=True)
 
     rates = exp_sub.add_parser("rates")
+    rates.set_defaults(run=_run_rates)
     rates.add_argument("--name", choices=sorted(RATE_EXPERIMENTS), default="w1_shift")
     rates.add_argument("--replicates", type=int, default=12)
     rates.add_argument("--seed", type=int, default=0)
 
     fig = exp_sub.add_parser("figure1")
+    fig.set_defaults(run=_run_figure1)
     fig.add_argument("--grid", type=int, default=41)
 
     disc = exp_sub.add_parser("discontinuity")
+    disc.set_defaults(run=lambda args: emit_report(discontinuity_demo(n=args.n, seed=args.seed)))
     disc.add_argument("--n", type=int, default=1000)
     disc.add_argument("--seed", type=int, default=0)
 
     return parser
+
+
+def _sample(args) -> PairedSample:
+    return load_sample(args.file, args.x, args.y, seed=args.seed)
 
 
 def _run_ot(args) -> str:
@@ -286,48 +300,32 @@ def _run_ot(args) -> str:
     return emit_report(out)
 
 
-def _run_index(args) -> str:
-    sample = load_sample(args.file, args.x, args.y, seed=args.seed)
-    if args.index_kind == "joint":
-        report = i_joint(
-            sample,
-            estimator=args.estimator,
-            variant=args.variant,
-            p=args.p,
-            alpha=args.alpha,
-        )
-        return emit_report(report)
-    if args.index_kind == "conditional":
-        report = i_conditional(sample, mode=args.partition, p=args.p, phi=args.bins)
-        return emit_report(report)
-    if args.index_kind == "gaussian":
-        return emit_report(gaussian_index_report(sample))
-    if args.index_kind == "concordance":
-        return emit_report(concordance_index(sample, a=args.center, mode=args.mode))
-    if args.index_kind == "marti":
-        c0, c1 = default_marti_sets(sample)
-        spec = CostSpec(p=args.p, factor_dims=(sample.dx, sample.dy))
-        value = marti_index(to_measure(sample.joint_rows()), c0, c1, spec)
-        return emit_report(
-            IndexReport(index="marti", value=value, p=args.p, n=sample.n, seed=args.seed)
-        )
-    raise DataError(f"unknown index {args.index_kind!r}")
+def _run_joint(args) -> str:
+    options = dict(estimator=args.estimator, variant=args.variant, p=args.p, alpha=args.alpha)
+    return emit_report(i_joint(_sample(args), **options))
+
+
+def _run_conditional(args) -> str:
+    return emit_report(i_conditional(_sample(args), mode=args.partition, p=args.p, phi=args.bins))
+
+
+def _run_concordance(args) -> str:
+    return emit_report(concordance_index(_sample(args), a=args.center, mode=args.mode))
+
+
+def _run_marti(args) -> str:
+    sample = _sample(args)
+    c0, c1 = default_marti_sets(sample)
+    spec = CostSpec(p=args.p, factor_dims=(sample.dx, sample.dy))
+    value = marti_index(to_measure(sample.joint_rows()), c0, c1, spec)
+    return emit_report(IndexReport(index="marti", value=value, p=args.p, n=sample.n, seed=args.seed))
 
 
 def _run_test(args) -> str:
-    sample = load_sample(args.file, args.x, args.y, seed=args.seed)
+    sample = _sample(args)
     value, p_value = permutation_test(sample, args.statistic, args.permutations, seed=args.seed)
-    return emit_report(
-        {
-            "command": "test",
-            "statistic": args.statistic,
-            "value": value,
-            "p_value": p_value,
-            "permutations": args.permutations,
-            "seed": args.seed,
-            "n": sample.n,
-        }
-    )
+    out = {"command": "test", "statistic": args.statistic, "permutations": args.permutations}
+    return emit_report({**out, "seed": args.seed, "n": sample.n, "value": value, "p_value": p_value})
 
 
 def _format_csv(rows: list[dict]) -> str:
@@ -339,34 +337,23 @@ def _format_csv(rows: list[dict]) -> str:
     return buf.getvalue().rstrip("\n")
 
 
-def _run_experiment(args) -> str:
-    if args.experiment_kind == "rates":
-        return emit_report(rate_experiment(args.name, replicates=args.replicates, seed=args.seed))
-    if args.experiment_kind == "figure1":
-        if args.grid < 2:
-            raise DataError("grid needs at least 2 points")
-        rows = figure1_table(np.linspace(-1.0, 1.0, args.grid))
-        return _format_csv(rows)
-    if args.experiment_kind == "discontinuity":
-        return emit_report(discontinuity_demo(n=args.n, seed=args.seed))
-    raise DataError(f"unknown experiment {args.experiment_kind!r}")
+def _run_rates(args) -> str:
+    return emit_report(rate_experiment(args.name, replicates=args.replicates, seed=args.seed))
+
+
+def _run_figure1(args) -> str:
+    if args.grid < 2:
+        raise DataError("grid needs at least 2 points")
+    return _format_csv(figure1_table(np.linspace(-1.0, 1.0, args.grid)))
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = build_parser().parse_args(argv)
     except SystemExit as exc:
         return int(exc.code or 0)
     try:
-        if args.command == "ot":
-            out = _run_ot(args)
-        elif args.command == "index":
-            out = _run_index(args)
-        elif args.command == "test":
-            out = _run_test(args)
-        else:
-            out = _run_experiment(args)
+        out = args.run(args)
     except (WassdepError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

@@ -51,7 +51,7 @@ def _group_costs(
     points: np.ndarray, starts: np.ndarray, weights: np.ndarray | None, target: DiscreteMeasure, p: float
 ) -> np.ndarray:
     """W_p^p from each group of a flat family to ``target``: the one place in
-    the package that picks a transport route.
+    the package that picks a transport route for a conditional cost.
 
     Group g is ``points[starts[g]:starts[g + 1]]`` with its slice of
     ``weights`` (None: every group uniform). Uniform scalar groups against a

@@ -113,6 +113,17 @@ def _sinkhorn_potentials(
     return f, g, violation
 
 
+def _same_law(src: DiscreteMeasure, dst: DiscreteMeasure) -> bool:
+    """Whether two measures of one shape list the same (point, weight) atoms,
+    in any row order."""
+
+    def rows(m: DiscreteMeasure) -> np.ndarray:
+        table = np.column_stack([m.points, m.weights])
+        return table[np.lexsort(table.T[::-1])]
+
+    return src is dst or np.array_equal(rows(src), rows(dst))
+
+
 def sinkhorn_discrepancy(
     src: DiscreteMeasure,
     dst: DiscreteMeasure,
@@ -129,22 +140,20 @@ def sinkhorn_discrepancy(
     plan equals ``<plan, f + g>`` by the dual optimality conditions. Raises
     :class:`SinkhornConvergenceError` unless both marginals of the plan lie
     within ``2 * tol``: at tiny eps the potentials can round onto a fixed
-    point that the stopping test alone would accept.
+    point that the stopping test alone would accept. Two measures that list
+    the same atoms, in any row order, are solved as ``(src, src)``.
     """
     if not 0 < eps < np.inf:
         raise ValueError("regularization strength eps must be a finite positive real")
     if spec is None:
         spec = CostSpec(p=2.0)
+    if src.points.shape == dst.points.shape and _same_law(src, dst):
+        dst = src  # self-transport, whatever the row order
     cost = cost_matrix(src, dst, spec)
     with np.errstate(divide="ignore"):
         log_a = np.log(src.weights)
         log_b = np.log(dst.weights)
-    symmetric = src is dst or (
-        src.points.shape == dst.points.shape
-        and np.array_equal(src.points, dst.points)
-        and np.array_equal(src.weights, dst.weights)
-    )
-    f, g, _ = _sinkhorn_potentials(cost, log_a, log_b, eps, tol, max_iter, symmetric)
+    f, g, _ = _sinkhorn_potentials(cost, log_a, log_b, eps, tol, max_iter, src is dst)
     log_plan = log_a[:, None] + log_b[None, :] + (f[:, None] + g[None, :] - cost) / eps
     with np.errstate(over="ignore"):  # an overflowing plan fails the check below
         plan = np.exp(log_plan)

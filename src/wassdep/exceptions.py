@@ -23,9 +23,10 @@ class SinkhornConvergenceError(WassdepError, RuntimeError):
     """Scaling iterations hit max_iter before the marginal tolerance, or the
     plan they return misses a marginal by more than twice that tolerance.
 
-    Carries the best marginal violation achieved, and the regularization
-    ``eps`` at which it was reached, so callers can decide whether to retry
-    with a looser tolerance, a larger budget or a larger ``eps``.
+    Carries the marginal violation at the point it stopped (the last sweep,
+    or the returned plan), and the regularization ``eps`` there, so callers
+    can decide whether to retry with a looser tolerance, a larger budget or
+    a larger ``eps``.
     """
 
     def __init__(self, message: str, achieved_violation: float, eps: float | None = None):

@@ -1,5 +1,8 @@
 """End-to-end command-line checks: exit codes, schemas, and byte stability."""
 
+import argparse
+import ast
+import inspect
 import json
 import re
 import subprocess
@@ -10,7 +13,7 @@ import numpy as np
 import pytest
 
 from wassdep import cli
-from wassdep.cli import _format_csv, load_cloud, load_sample, main
+from wassdep.cli import _format_csv, build_parser, load_cloud, load_sample, main
 from wassdep.exceptions import DataError
 from wassdep.harness import figure1_table
 
@@ -113,6 +116,50 @@ def test_usage_errors_exit_2(tmp_path, capsys):
     assert main(["bogus"]) == 2
     assert main([]) == 2
     capsys.readouterr()
+
+
+def _leaves(parser, path=()):
+    """(subcommand path, parser) of every leaf subcommand under ``parser``."""
+    subs = [a for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
+    if not subs:
+        yield path, parser
+        return
+    for name, child in subs[0].choices.items():
+        yield from _leaves(child, path + (name,))
+
+
+def test_every_leaf_subcommand_names_its_runner():
+    leaves = dict(_leaves(build_parser()))
+    assert sorted(" ".join(path) for path in leaves) == [
+        "experiment discontinuity",
+        "experiment figure1",
+        "experiment rates",
+        "index concordance",
+        "index conditional",
+        "index gaussian",
+        "index joint",
+        "index marti",
+        "ot",
+        "test",
+    ]
+    for path, leaf in leaves.items():
+        argv = list(path)
+        for action in leaf._actions:
+            if not action.option_strings:
+                argv.append("0")  # a positional: a file name
+            elif action.required:
+                argv += [action.option_strings[0], "0"]
+        args = build_parser().parse_args(argv)
+        assert callable(args.run), path
+
+
+def test_main_dispatches_without_comparing_subcommand_names():
+    tree = ast.parse(inspect.getsource(main))
+    names = {"command", "index_kind", "experiment_kind"}
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Compare):
+            operands = [node.left, *node.comparators]
+            assert not any(isinstance(o, ast.Attribute) and o.attr in names for o in operands)
 
 
 def test_missing_file_exits_1_with_message(capsys):

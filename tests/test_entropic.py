@@ -6,6 +6,7 @@ from scipy.special import logsumexp as scipy_logsumexp
 
 from wassdep import (
     CostSpec,
+    DiscreteMeasure,
     SinkhornConvergenceError,
     cost_matrix,
     sinkhorn_discrepancy,
@@ -102,6 +103,46 @@ def test_symmetric_path_agrees_with_alternating_path():
     v_sym = sinkhorn_discrepancy(a, b, 0.6)
     v_alt = sinkhorn_discrepancy(a, b2, 0.6)
     assert v_sym == pytest.approx(v_alt, rel=1e-6, abs=1e-8)
+
+
+@pytest.mark.parametrize("n", [7, 60])
+def test_a_row_permutation_of_a_law_is_solved_as_self_transport(n):
+    """The same law in another row order takes the averaged self-transport
+    path; the alternating path stalls above tol at this eps."""
+    rng = np.random.default_rng(n)
+    pts = rng.normal(size=(n, 2))
+    law, shuffled = to_measure(pts), to_measure(pts[rng.permutation(n)])
+    assert not np.array_equal(law.points, shuffled.points)
+    assert sinkhorn_discrepancy(law, shuffled, 0.1) == sinkhorn_discrepancy(law, law, 0.1)
+    assert sinkhorn_divergence(law, shuffled, 0.1) == 0.0
+    assert sinkhorn_divergence(shuffled, law, 0.1) == 0.0
+
+
+def _with_zero_weights(rng, n):
+    """A law on n atoms in the unit square, two of which weigh 0 (one tied
+    with another atom), and the same law with those two dropped."""
+    points = rng.random((n, 2))
+    weights = rng.random(n) + 0.1
+    zeros = rng.choice(n, size=2, replace=False)
+    points[zeros[1]] = points[zeros[0] - 1]
+    weights[zeros] = 0.0
+    weights /= weights.sum()
+    keep = weights > 0
+    return DiscreteMeasure(points, weights), DiscreteMeasure(points[keep], weights[keep])
+
+
+@pytest.mark.parametrize("eps", [1.0, 0.1, 0.01])
+def test_zero_weight_atoms_change_no_entropic_value(eps):
+    """Dropping atoms that weigh 0, from either side or both, leaves the
+    regularized value and the divergence unchanged. tol is pinned: at the
+    default 1e-9 the two stopping points differ by up to about 1e-10."""
+    for seed in range(20):
+        rng = np.random.default_rng(seed)
+        (a, a_kept), (b, b_kept) = _with_zero_weights(rng, 9), _with_zero_weights(rng, 7)
+        for solve in (sinkhorn_discrepancy, sinkhorn_divergence):
+            want = solve(a_kept, b_kept, eps, tol=1e-12)
+            for src, dst in ((a, b), (a, b_kept), (a_kept, b)):
+                assert solve(src, dst, eps, tol=1e-12) == pytest.approx(want, rel=1e-11)
 
 
 def test_raises_with_achieved_violation_when_budget_too_small():
