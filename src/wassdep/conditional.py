@@ -7,15 +7,15 @@ zero when every conditional equals the marginal, one when Y is a function
 of X.
 
 A :class:`~wassdep.empirical.ConditionalFamily` holds its groups' y rows as
-one array cut at ``starts``. Every W_p^p here comes from one route
-selector, :func:`_group_costs`, which reads the groups from those arrays:
-one prefix-sum sweep for uniform scalar groups at p = 1 or 2, else the
-forced coupling, the quantile integral or the exact solver per group.
+one array cut at ``starts``. Every W_p^p here comes from one route selector,
+:func:`_group_costs`: one prefix-sum sweep for uniform scalar groups at p = 1
+or 2, else one blocked pair-cost kernel call for all groups whose atoms
+coincide and the quantile integral or the exact solver for each other group.
 :func:`gmd_plugin` is the selector with every atom its own group, and exact
-mode reduces its row costs with the same weighted sum, so a sample with
-all-distinct x values and Y = f(X) yields an index of exactly 1.0, bit for
-bit. That exactness is also what makes the estimator discontinuous: an
-independent continuous sample has all-distinct x too.
+mode reduces the same kernel row costs with the same weighted sum, so a
+sample with all-distinct x values and Y = f(X) yields an index of exactly
+1.0, bit for bit. That exactness is also what makes the estimator
+discontinuous: an independent continuous sample has all-distinct x too.
 """
 
 from __future__ import annotations
@@ -56,22 +56,23 @@ def _group_costs(
     Group g is ``points[starts[g]:starts[g + 1]]`` with its slice of
     ``weights`` (None: every group uniform). Uniform scalar groups against a
     uniform scalar target at p = 1 or 2 take one ``_group_powers`` sweep.
-    Otherwise a group whose atoms coincide takes the forced coupling, which
-    reads the target in its original order as the plug-in discrepancy does;
-    a scalar group takes the quantile integral against the target's cached
-    quantile form; any other group is built as a measure for the solver.
-    """
+    Otherwise one vectorized compare finds every group whose atoms coincide,
+    and one ``dirac_transport_cost`` call, before the loop, costs all of them
+    by the forced coupling. In the loop a scalar group takes the quantile
+    integral against the target's cached quantile form; any other group is
+    built as a measure for the solver."""
     tw = target.weights
     if weights is None and points.shape[1] == target.dim == 1 and p in (1, 2) and np.all(tw == tw[0]):
         return _group_powers(points[:, 0], starts, target.points[:, 0], p)
     bounds = np.append(starts, len(points))
+    dirac = np.logical_and.reduceat(np.all(points == points[np.repeat(starts, np.diff(bounds))], axis=1), starts)
     costs = np.empty(len(starts))
-    for g, (lo, hi) in enumerate(zip(bounds[:-1], bounds[1:])):
+    costs[dirac] = dirac_transport_cost(points[starts[dirac]], target, p)
+    for g in np.flatnonzero(~dirac):
+        lo, hi = bounds[g], bounds[g + 1]
         atoms = points[lo:hi]
         w = None if weights is None else weights[lo:hi]
-        if np.all(atoms == atoms[0]):
-            costs[g] = dirac_transport_cost(atoms[0], target.points, tw, p)
-        elif atoms.shape[1] == target.dim == 1:
+        if atoms.shape[1] == target.dim == 1:
             form = _quantile_form(atoms[:, 0], np.full(hi - lo, 1.0 / (hi - lo)) if w is None else w)
             costs[g] = _quantile_cost(*form, *target.quantile_form, p)
         else:
@@ -84,7 +85,6 @@ def gmd_plugin(measure: DiscreteMeasure, p: float = 1.0) -> float:
     :func:`_group_costs` with every atom its own group against the measure,
     then the weighted sum exact mode's numerator takes, so the two agree bit
     for bit on a functional sample."""
-    CostSpec(p=p)  # the one check on p: ValueError unless p >= 1
     rows = _group_costs(measure.points, np.arange(measure.n), None, measure, p)
     return _weighted_sum(measure.weights, rows)
 

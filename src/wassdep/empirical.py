@@ -84,7 +84,7 @@ def gmd_ustat(rows, p: float = 1.0) -> float:
     """Unbiased mean p-th power discrepancy: mean of |z_i - z_j|^p over i != j.
 
     Closed forms cover the common cases (p=2 any dimension, p=1 in one
-    dimension); everything else goes through the pairwise cost matrix.
+    dimension); everything else is n/(n-1) times the pair-cost kernel's mean.
     """
     m = DiscreteMeasure(rows)
     z, n = m.points, m.n
@@ -101,23 +101,27 @@ def gmd_ustat(rows, p: float = 1.0) -> float:
         s = np.sort(z[:, 0])
         coeff = 2.0 * np.arange(1 - n, n, 2)
         return _weighted_sum(coeff, s) / (n * (n - 1))
-    c = cost_matrix(m, m, CostSpec(p=p))
-    return float((c.sum() - np.trace(c)) / (n * (n - 1)))
+    return n / (n - 1) * _weighted_sum(m.weights, dirac_transport_cost(z, m, p))
 
 
-def dirac_transport_cost(point: np.ndarray, support: np.ndarray, weights: np.ndarray, p: float) -> float:
-    """Expected d(point, Z)^p under the discrete law (support, weights).
-
-    This is the p-th power transport cost from a one-point mass, whose
-    coupling is forced: the route ``conditional._group_costs`` takes for a
-    group whose atoms coincide.
-    """
-    gaps = support - point
-    if support.shape[1] == 1:
-        d = np.abs(gaps[:, 0])
-    else:
-        d = np.sqrt(np.einsum("ij,ij->i", gaps, gaps))
-    return _weighted_sum(weights, d, p)
+def dirac_transport_cost(points: np.ndarray, target: DiscreteMeasure, p: float) -> np.ndarray:
+    """Expected d(z, Z)^p under ``target`` for each row z of ``points``: the
+    pair-cost kernel shared by the forced coupling and both mean discrepancies.
+    Each row is its own ``_weighted_sum``, so no bit depends on its block.
+    Multi-d distances come from :func:`cost_matrix`; scalar ones are
+    ``|u - v|``, which keeps the gaps below 1e-154 that cdist's square loses."""
+    CostSpec(p=p)  # the one check on p: ValueError unless p >= 1
+    # Blocks of about 2^16 pairs. gmd_plugin, scalar p = 3, n = 10,000, median of 5
+    # fresh runs, 2-core VM: 2^14 cells 0.54 s, 2^16 0.52 s, 2^18 0.59 s, 2^22 1.01 s.
+    step = max(2**16 // target.n, 1)
+    costs = np.empty(len(points))
+    for lo in range(0, len(points), step):
+        if points.shape[1] == target.dim == 1:
+            dist = np.abs(target.points[:, 0] - points[lo:lo + step])
+        else:
+            dist = cost_matrix(DiscreteMeasure(points[lo:lo + step]), target, CostSpec())
+        costs[lo:lo + step] = _weighted_sum(target.weights, dist, p)
+    return costs
 
 
 # ---------------------------------------------------------------------------

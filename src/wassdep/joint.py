@@ -16,7 +16,7 @@ from .exact import solve_exact
 from .exceptions import DataError, DegenerateMarginalError
 from .empirical import PairedSample, _derangement, gmd_ustat, product_estimator, to_measure
 from .entropic import sinkhorn_divergence
-from .measures import CostSpec, DiscreteMeasure, _as_points, product_measure
+from .measures import CostSpec, DiscreteMeasure, _as_points, _check_cost_size, product_measure
 from .report import IndexReport
 
 __all__ = [
@@ -69,6 +69,8 @@ def i_joint(
     else:
         raise ValueError(f"unknown variant {variant!r}")
 
+    n = sample.n  # the transport problem's cost matrix, refused before any O(n^2) work
+    _check_cost_size(*{"split": (n // 3, n // 3), "full": (n, n * n)}.get(estimator, (n, n)))
     gmd_x = gmd_ustat(sample.xs, p)
     gmd_y = gmd_ustat(sample.ys, p)
     if alpha is not None:

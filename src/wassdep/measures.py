@@ -34,7 +34,7 @@ WEIGHT_TOL = 1e-9
 
 
 # Bytes of physical memory. A dense cost matrix larger than this cannot be
-# held, so cost_matrix refuses it before cdist asks for it.
+# held, so _check_cost_size refuses it before anything asks for it.
 try:
     PHYSICAL_MEMORY: int | None = os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
 except (AttributeError, ValueError, OSError):  # the platform does not report it
@@ -117,13 +117,14 @@ class DiscreteMeasure:
         return _quantile_form(self.points[:, 0], self.weights)
 
 
-def _weighted_sum(weights: np.ndarray, values: np.ndarray, p: float = 1.0) -> float:
-    """sum_i weights[i] * values[i] ** p by numpy's pairwise sum: the one
-    reduction of every weighted sum in the package. Its order is numpy's,
-    not BLAS's, so its bits do not depend on the BLAS thread count."""
+def _weighted_sum(weights: np.ndarray, values: np.ndarray, p: float = 1.0) -> float | np.ndarray:
+    """sum_i weights[i] * values[..., i] ** p, one per row of a 2-D ``values``,
+    by numpy's pairwise sum: the one weighted sum in the package. No bit of a
+    row's sum depends on the other rows or, as a BLAS dot's would, on threads."""
     if p != 1:
         values = values ** p
-    return float((weights * values).sum())
+    total = (weights * values).sum(axis=-1)
+    return total if total.ndim else float(total)
 
 
 def _quantile_form(values: np.ndarray, weights: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -165,6 +166,13 @@ class CostSpec:
         object.__setattr__(self, "weights", weights)
 
 
+def _check_cost_size(rows: int, cols: int) -> None:
+    """Raise DataError when a rows x cols cost matrix exceeds physical memory."""
+    if PHYSICAL_MEMORY is not None and rows * cols * 8 > PHYSICAL_MEMORY:
+        raise DataError(f"a {rows} x {cols} cost matrix needs {rows * cols * 8} bytes, "
+                        f"more than the {PHYSICAL_MEMORY} bytes of physical memory")
+
+
 def cost_matrix(src: DiscreteMeasure, dst: DiscreteMeasure, spec: CostSpec) -> np.ndarray:
     """Pairwise ``d(x_i, y_j) ** p`` under the given cost spec.
 
@@ -177,12 +185,7 @@ def cost_matrix(src: DiscreteMeasure, dst: DiscreteMeasure, spec: CostSpec) -> n
     dims, weights = (spec.factor_dims, spec.weights) if spec.factor_dims else ((src.dim,), (1.0,))
     if sum(dims) != src.dim:
         raise ValueError(f"spec expects total dimension {sum(dims)}, measures have {src.dim}")
-    nbytes = src.n * dst.n * 8
-    if PHYSICAL_MEMORY is not None and nbytes > PHYSICAL_MEMORY:
-        raise DataError(
-            f"a {src.n} x {dst.n} cost matrix needs {nbytes} bytes, "
-            f"more than the {PHYSICAL_MEMORY} bytes of physical memory"
-        )
+    _check_cost_size(src.n, dst.n)
     # Weighted and summed in place: a fresh n x m temporary per factor costs page faults.
     dist = None
     offset = 0

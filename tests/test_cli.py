@@ -608,7 +608,9 @@ def test_cost_matrix_beyond_memory_exits_1(tmp_path, capsys, monkeypatch):
 
     data = _write_pair(tmp_path / "pair.csv", n=100)
     monkeypatch.setattr(measures, "PHYSICAL_MEMORY", 100 * 100 * 8 - 1)
-    argv = ["index", "conditional", "--file", str(data), "--x", "0", "--y", "1", "--p", "3"]
+    # The joint index's 100 x 100 transport problem; a mean discrepancy
+    # goes through blocks and builds no such matrix.
+    argv = ["index", "joint", "--file", str(data), "--x", "0", "--y", "1", "--p", "3"]
     code, out, err = _run(capsys, argv)
     assert (code, out) == (1, "")
     assert "100 x 100 cost matrix needs 80000 bytes" in err

@@ -256,6 +256,37 @@ def test_exact_mode_with_one_row_per_group_reads_the_routes_once(monkeypatch, p)
     assert len(calls) == 2  # tied x: the groups, then every row for the discrepancy
 
 
+@pytest.mark.parametrize("p", [1.0, 3.0])
+@pytest.mark.parametrize("tied", [False, True])
+def test_exact_mode_on_a_2d_function_reads_one(monkeypatch, p, tied):
+    rng = np.random.default_rng(12)
+    x = rng.normal(size=1500)
+    x = np.round(x, 1) if tied else x
+    y = np.column_stack([np.sin(3.0 * x), x * x])
+    calls, kernel = [], conditional.dirac_transport_cost
+    monkeypatch.setattr(conditional, "dirac_transport_cost", lambda *a: calls.append(len(a[0])) or kernel(*a))
+    report = i_conditional(PairedSample(x, y, seed=0), mode="exact", p=p)
+    # One kernel call per selector call: the groups, then (tied x) every row.
+    assert calls == ([len(np.unique(x)), 1500] if tied else [1500])
+    assert report.value == 1.0 and report.denominator == gmd_plugin(to_measure(y), p)
+
+
+@pytest.mark.parametrize("p", [1.0, 3.0])
+def test_the_selector_costs_every_dirac_group_in_one_kernel_call(monkeypatch, p):
+    # Groups 0, 2 and 3 coincide, groups 1 and 4 do not; 2-D, so the others
+    # go to the solver.
+    points = np.array([[0, 0], [0, 0], [1, 2], [3, 1], [2, 2], [5, 5], [5, 5], [5, 5], [1, 1], [1, 0]], float)
+    starts = np.array([0, 2, 4, 5, 8])
+    target = to_measure(np.random.default_rng(13).normal(size=(40, 2)))
+    calls, kernel = [], conditional.dirac_transport_cost
+    monkeypatch.setattr(conditional, "dirac_transport_cost", lambda *a: calls.append(a[0].tolist()) or kernel(*a))
+    costs = _group_costs(points, starts, None, target, p)
+    assert calls == [[[0.0, 0.0], [2.0, 2.0], [5.0, 5.0]]]
+    for g, atoms in enumerate(np.split(points, starts[1:])):
+        want = solve_exact(DiscreteMeasure(atoms), target, CostSpec(p=p))
+        assert costs[g] == pytest.approx(want, rel=1e-12)
+
+
 @pytest.mark.parametrize("p", [1.0, 2.0])
 def test_quantile_route_matches_the_solver_route_on_weighted_laws(p):
     family = partition(_shuffled_tied_sample(), "exact")
@@ -527,6 +558,9 @@ for n in (20_000, 200_000):
         d_conditional(partition(sample, "bins")),
         d_conditional(partition(tied, "exact"), p=2.0),
     ]
+# 2-D y off the closed forms: the pair-cost kernel's blocks.
+y2 = np.random.default_rng(2).normal(size=(3000, 2))
+values["2d"] = [gmd_ustat(y2), gmd_ustat(y2, 3.0), gmd_plugin(to_measure(y2)), gmd_plugin(to_measure(y2), 3.0)]
 print(json.dumps(values))
 """
 

@@ -84,10 +84,9 @@ def test_gmd_needs_two_rows():
 
 
 def test_dirac_transport_cost_hand_value():
-    support = np.array([[0.0], [1.0], [2.0]])
-    w = np.full(3, 1 / 3)
-    assert dirac_transport_cost(np.array([0.0]), support, w, 1.0) == pytest.approx(1.0)
-    assert dirac_transport_cost(np.array([0.0]), support, w, 2.0) == pytest.approx(5.0 / 3.0)
+    support = to_measure([0.0, 1.0, 2.0])
+    assert dirac_transport_cost(np.array([[0.0]]), support, 1.0) == pytest.approx([1.0])
+    assert dirac_transport_cost(np.array([[0.0]]), support, 2.0) == pytest.approx([5.0 / 3.0])
 
 
 # ---------------------------------------------------------------------------
@@ -269,15 +268,38 @@ def test_every_array_is_checked_by_one_validator_that_names_it():
 def test_gmd_pairwise_route_is_the_cost_matrix(monkeypatch):
     import wassdep.empirical as empirical
 
-    z = np.random.default_rng(3).normal(size=(30, 2))
-    calls = []
+    # The pair sum goes through the kernel in blocks: no call holds n x n.
+    z = np.random.default_rng(3).normal(size=(300, 2))
+    cells = []
     real = empirical.cost_matrix
-    monkeypatch.setattr(empirical, "cost_matrix", lambda *a: calls.append(1) or real(*a))
-    assert gmd_ustat(z, p=3.0) == _cost_matrix_mean(z, 3.0)
-    assert gmd_ustat(z[:, :1], p=1.5) == _cost_matrix_mean(z[:, :1], 1.5)
-    assert len(calls) == 2
+    monkeypatch.setattr(empirical, "cost_matrix", lambda *a: cells.append(a[0].n * a[1].n) or real(*a))
+    for rows, p in ((z, 3.0), (z[:, :1], 1.5)):
+        want = _cost_matrix_mean(rows, p)
+        assert abs(gmd_ustat(rows, p=p) - want) <= 1e-13 * want
+    assert len(cells) > 1 and max(cells) <= 2**16
     with pytest.raises(ValueError, match="p must be"):
         gmd_ustat(z, p=0.5)
+
+
+@pytest.mark.parametrize("p", [1.0, 3.0])
+def test_gmd_pair_sum_needs_no_n_by_n_matrix(monkeypatch, p):
+    from wassdep import measures
+
+    z = np.random.default_rng(4).normal(size=(2000, 2))
+    want = _cost_matrix_mean(z, p)
+    monkeypatch.setattr(measures, "PHYSICAL_MEMORY", 2000 * 2000 * 8 - 1)
+    assert abs(gmd_ustat(z, p=p) - want) <= 1e-13 * want
+
+
+def test_the_kernel_row_does_not_depend_on_its_block():
+    target = to_measure(np.random.default_rng(6).normal(size=(700, 2)))
+    points = np.random.default_rng(7).normal(size=(300, 2))
+    rows = dirac_transport_cost(points, target, 3.0)
+    assert all(dirac_transport_cost(points[i:i + 1], target, 3.0)[0] == rows[i] for i in (0, 93, 94, 299))
+    want = [np.sum(target.weights * np.sqrt(((target.points - z) ** 2).sum(axis=1)) ** 3.0) for z in points]
+    np.testing.assert_allclose(rows, want, rtol=1e-13)
+    scalar = to_measure([0.0, 1e-200, 3e-200])
+    assert dirac_transport_cost(np.zeros((1, 1)), scalar, 1.0) == pytest.approx([4e-200 / 3], rel=1e-15)
 
 
 def _snap_to_centers(values, phi):

@@ -362,9 +362,9 @@ def test_zero_weight_atoms_cost_nothing_in_the_transport_lp(p):
 @pytest.mark.parametrize("dim", [1, 2])
 def test_zero_weight_atoms_cost_nothing_under_the_forced_coupling(p, dim):
     law, kept = _with_zero_weights(np.random.default_rng(42), 11, dim)
-    point = np.full(dim, 4.5)
-    want = dirac_transport_cost(point, kept.points, kept.weights, p)
-    assert dirac_transport_cost(point, law.points, law.weights, p) == pytest.approx(want, rel=1e-12)
+    point = np.full((1, dim), 4.5)
+    want = dirac_transport_cost(point, kept, p)
+    assert dirac_transport_cost(point, law, p) == pytest.approx(want, rel=1e-12)
 
 
 @pytest.mark.parametrize("p", [1.0, 2.0, 3.0])

@@ -16,7 +16,25 @@ from wassdep.joint import (
     mori_gaussian_bounds,
     reference_measure_variant,
 )
+from wassdep import empirical, measures
 from wassdep.measures import CostSpec
+
+
+def _raise(*args, **kwargs):
+    raise AssertionError("pair work or the product grid ran before the size check")
+
+
+@pytest.mark.parametrize("estimator, rows, cols", [("split", 100, 100), ("permute", 300, 300), ("full", 300, 90_000)])
+def test_i_joint_refuses_an_oversized_problem_before_any_pair_work(monkeypatch, estimator, rows, cols):
+    # A 2-D x at p = 3 takes the pair-cost kernel for its discrepancy, and
+    # the full estimator builds an n^2-atom product: neither may run first.
+    monkeypatch.setattr(measures, "PHYSICAL_MEMORY", rows * cols * 8 - 1)
+    monkeypatch.setattr(empirical, "product_measure", _raise)
+    monkeypatch.setattr(empirical, "dirac_transport_cost", _raise)
+    rng = np.random.default_rng(0)
+    sample = PairedSample(rng.normal(size=(300, 2)), rng.normal(size=300))
+    with pytest.raises(DataError, match=f"a {rows} x {cols} cost matrix needs {rows * cols * 8} bytes"):
+        i_joint(sample, estimator, p=3.0)
 
 
 def test_two_point_comonotone_hand_value():
