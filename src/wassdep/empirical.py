@@ -17,7 +17,7 @@ from scipy.spatial.distance import cdist
 
 from .exceptions import DataError
 from .measures import (
-    WEIGHT_TOL, CostSpec, DiscreteMeasure, _as_points, _as_weights, _weighted_sum, cost_matrix, product_measure
+    WEIGHT_TOL, CostSpec, DiscreteMeasure, _as_points, _as_weights, _runs, _weighted_sum, cost_matrix, product_measure
 )
 
 __all__ = [
@@ -69,8 +69,8 @@ class PairedSample:
 def to_measure(rows) -> DiscreteMeasure:
     """Empirical distribution of the rows: uniform mass 1/n on each row.
 
-    Repeated rows stay as separate atoms; the measures module treats them as
-    one logical atom of accumulated mass.
+    Repeated rows stay separate atoms; its ``support`` merges them into one
+    atom of accumulated mass, read by the LP route and Sinkhorn's same-law test.
     """
     return DiscreteMeasure(rows)
 
@@ -326,7 +326,8 @@ def partition(
     onto their own cube centers (the variant used in the rate analysis; off
     by default because the plain plug-in is the natural estimator). ``phi``
     and ``snap_y`` are refused in ``exact`` mode, which has no cubes. Groups
-    come in ascending key order, each listing its rows in their original order.
+    come in ascending key order, each listing its rows in their original order:
+    the runs of ``measures._runs``, which also builds every measure's support.
     """
     n, ys = sample.n, sample.ys
     if mode == "exact":
@@ -349,8 +350,7 @@ def partition(
     else:
         raise ValueError(f"unknown partition mode {mode!r}")
 
-    order = np.lexsort(keys.T[::-1])
-    keys = keys[order]
-    starts = np.concatenate([[0], np.flatnonzero(np.any(keys[1:] != keys[:-1], axis=1)) + 1])
-    representatives = keys[starts] if mode == "exact" else lo + (keys[starts] + 0.5) * width
+    order, starts = _runs(keys)
+    first = keys[order[starts]]
+    representatives = first if mode == "exact" else lo + (first + 0.5) * width
     return ConditionalFamily(representatives, np.diff(starts, append=n) / n, ys[order], starts, rows=order)

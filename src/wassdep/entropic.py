@@ -113,17 +113,6 @@ def _sinkhorn_potentials(
     return f, g, violation
 
 
-def _same_law(src: DiscreteMeasure, dst: DiscreteMeasure) -> bool:
-    """Whether two measures of one shape list the same (point, weight) atoms,
-    in any row order."""
-
-    def rows(m: DiscreteMeasure) -> np.ndarray:
-        table = np.column_stack([m.points, m.weights])
-        return table[np.lexsort(table.T[::-1])]
-
-    return src is dst or np.array_equal(rows(src), rows(dst))
-
-
 def sinkhorn_discrepancy(
     src: DiscreteMeasure,
     dst: DiscreteMeasure,
@@ -140,15 +129,16 @@ def sinkhorn_discrepancy(
     plan equals ``<plan, f + g>`` by the dual optimality conditions. Raises
     :class:`SinkhornConvergenceError` unless both marginals of the plan lie
     within ``2 * tol``: at tiny eps the potentials can round onto a fixed
-    point that the stopping test alone would accept. Two measures that list
-    the same atoms, in any row order, are solved as ``(src, src)``.
+    point that the stopping test alone would accept. Two measures of one
+    ``support`` are solved as self-transport of the one with fewer atoms.
     """
     if not 0 < eps < np.inf:
         raise ValueError("regularization strength eps must be a finite positive real")
     if spec is None:
         spec = CostSpec(p=2.0)
-    if src.points.shape == dst.points.shape and _same_law(src, dst):
-        dst = src  # self-transport, whatever the row order
+    s, d = src.support, dst.support  # one law, whatever its row order or repeated rows
+    if np.array_equal(s.points, d.points) and np.array_equal(s.weights, d.weights):
+        src = dst = min(src, dst, key=lambda m: m.n)
     cost = cost_matrix(src, dst, spec)
     with np.errstate(divide="ignore"):
         log_a = np.log(src.weights)

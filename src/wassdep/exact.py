@@ -5,10 +5,10 @@ downstream index can lean on it as an oracle. Uniform weights on n and m
 atoms are one linear assignment on L = lcm(n, m) atoms (an optimal vertex
 of the Birkhoff polytope is a permutation) when n == m or while each cost
 entry is repeated at most 20 times, the measured crossover; anything else
-is the sparse transport LP. Between scalar laws ``_quantile_cost`` merges
-two quantile forms, and ``_group_powers`` sweeps every group of a column
-against one uniform target at p = 1 or 2. Which route a conditional cost
-takes is decided only in ``conditional._group_costs``.
+is the sparse transport LP, on merged supports. Between scalar laws
+``_quantile_cost`` merges two quantile forms, and ``_group_powers`` sweeps
+every group of a column against one uniform target at p = 1 or 2. Which
+route a conditional cost takes is decided only in ``conditional._group_costs``.
 """
 
 from __future__ import annotations
@@ -34,14 +34,20 @@ __all__ = [
 # ---------------------------------------------------------------------------
 
 
+def _assignable(a: np.ndarray, b: np.ndarray) -> bool:
+    """Whether weights a and b take the assignment route: both uniform, and
+    n == m (``cost`` itself is assigned) or the expansion to L = lcm(n, m)
+    atoms repeats each cost entry at most 20 times (L * L <= 20 * n * m)."""
+    n, m = len(a), len(b)
+    lcm = math.lcm(n, m)
+    return lcm * lcm <= 20 * n * m and bool(np.all(a == a[0]) and np.all(b == b[0]))
+
+
 def solve_from_cost(cost: np.ndarray, a: np.ndarray, b: np.ndarray) -> float:
     """Minimal ``<plan, cost>`` over couplings of weight vectors a and b.
 
-    Uniform a and b on n and m atoms are solved as one assignment on
-    L = lcm(n, m) atoms when n == m, where ``cost`` itself is assigned, or
-    when the expanded L x L matrix repeats each entry of ``cost`` at most 20
-    times (L * L <= 20 * n * m). Every other case is solved as the sparse
-    transport LP.
+    Weights that :func:`_assignable` accepts are solved as one assignment on
+    L = lcm(n, m) atoms; every other case as the sparse transport LP.
 
     Used by :func:`solve_exact` and by callers that assemble composite cost
     matrices themselves (nested transport).
@@ -73,8 +79,8 @@ def solve_from_cost(cost: np.ndarray, a: np.ndarray, b: np.ndarray) -> float:
     # At 20 repeats the expanded matrix takes 160 bytes per entry of cost,
     # against a peak-RSS rise of about 1.2 KB per entry for the HiGHS LP.
     # n == m repeats nothing and assigns cost itself.
-    lcm = math.lcm(n, m)
-    if lcm * lcm <= 20 * n * m and np.all(a == a[0]) and np.all(b == b[0]):
+    if _assignable(a, b):
+        lcm = math.lcm(n, m)
         if n != m:
             cost = cost[np.ix_(np.arange(n).repeat(lcm // n), np.arange(m).repeat(lcm // m))]
         rows, cols = linear_sum_assignment(cost)
@@ -98,8 +104,12 @@ def solve_exact(src: DiscreteMeasure, dst: DiscreteMeasure, spec: CostSpec) -> f
     """Optimal transport cost between two discrete measures under ``spec``.
 
     Returns the minimal expected ``d^p``, clamped at 0: ``W_p^p`` of order
-    ``spec.p``, whose p-th root is the Wasserstein distance.
+    ``spec.p``, whose p-th root is the Wasserstein distance. The optimum
+    depends only on the laws, so off the assignment route a measure whose
+    atoms coincide is solved on its :attr:`~DiscreteMeasure.support`.
     """
+    if not _assignable(src.weights, dst.weights):
+        src, dst = (m.support if m.support.n < m.n else m for m in (src, dst))
     cost = cost_matrix(src, dst, spec)
     return max(solve_from_cost(cost, src.weights, dst.weights), 0.0)
 

@@ -18,11 +18,10 @@ import numpy as np
 from .concordance import concordance_index
 from .conditional import adapted_wasserstein, gaussian_conditional_index, gmd_plugin, i_conditional
 from .empirical import ConditionalFamily, PairedSample, partition, product_estimator, to_measure
-from .entropic import sinkhorn_divergence
 from .exact import solve_exact, wasserstein_1d
 from .exceptions import DataError
 from .gaussian import i_gaussian_bivariate
-from .joint import d_joint, i_joint, mori_gaussian_bounds
+from .joint import d_joint, d_joint_entropic, i_joint, mori_gaussian_bounds
 from .measures import CostSpec, DiscreteMeasure, mixture
 from .report import RateReport
 
@@ -180,18 +179,13 @@ def _independent_pair(n: int, rng: np.random.Generator) -> PairedSample:
 
 
 def _sample_entropic_joint(n: int, rng: np.random.Generator) -> float:
-    sample = _independent_pair(n, rng)
-    joint, product = product_estimator(sample, "permute", rng)
-    value = sinkhorn_divergence(joint, product, eps=0.1, spec=CostSpec(p=2.0))
     # Root to the distance scale; the raw divergence is squared-cost-like
     # and would decay one order faster than the band describes.
-    return float(np.sqrt(max(value, 0.0)))
+    return float(np.sqrt(d_joint_entropic(_independent_pair(n, rng), 0.1, CostSpec(p=2.0), rng=rng)))
 
 
 def _sample_joint_w2(n: int, rng: np.random.Generator) -> float:
-    sample = _independent_pair(n, rng)
-    joint, product = product_estimator(sample, "permute", rng)
-    return solve_exact(joint, product, CostSpec(p=2.0)) ** 0.5
+    return d_joint(*product_estimator(_independent_pair(n, rng), "permute", rng), CostSpec(p=2.0))
 
 
 RATE_EXPERIMENTS: dict[str, RateExperiment] = {
@@ -316,7 +310,7 @@ def discontinuity_demo(n: int = 1000, seed: int = 0) -> dict:
         raise DataError(f"n must be at least 1, got {n}")
     rng = np.random.default_rng(seed)
     sample = PairedSample(rng.random(n), rng.random(n), seed=seed)
-    if len(np.unique(sample.xs[:, 0])) != n:
+    if to_measure(sample.xs).support.n != n:
         raise DataError("tied x draws; regenerate with a different seed")
 
     exact_value = i_conditional(sample, "exact", p=1.0).value

@@ -116,6 +116,13 @@ class DiscreteMeasure:
         """
         return _quantile_form(self.points[:, 0], self.weights)
 
+    @cached_property
+    def support(self) -> "DiscreteMeasure":
+        """The distinct rows in lexsort order, each carrying the summed weight of
+        its atoms (a zero-weight atom stays): one form per law, however listed."""
+        order, starts = _runs(self.points)
+        return DiscreteMeasure(self.points[order[starts]], np.add.reduceat(self.weights[order], starts))
+
 
 def _weighted_sum(weights: np.ndarray, values: np.ndarray, p: float = 1.0) -> float | np.ndarray:
     """sum_i weights[i] * values[..., i] ** p, one per row of a 2-D ``values``,
@@ -125,6 +132,14 @@ def _weighted_sum(weights: np.ndarray, values: np.ndarray, p: float = 1.0) -> fl
         values = values ** p
     total = (weights * values).sum(axis=-1)
     return total if total.ndim else float(total)
+
+
+def _runs(keys: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The stable lexsort order of the rows of ``keys`` (first column first) and
+    where each run of equal rows starts in it: the one test of coincident rows."""
+    order = np.lexsort(keys.T[::-1])
+    ordered = keys[order]
+    return order, np.concatenate([[0], np.flatnonzero(np.any(ordered[1:] != ordered[:-1], axis=1)) + 1])
 
 
 def _quantile_form(values: np.ndarray, weights: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

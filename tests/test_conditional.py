@@ -8,8 +8,9 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+import scipy.optimize
 
-from wassdep import conditional, empirical, measures
+from wassdep import conditional, empirical, exact, measures
 from wassdep.conditional import (
     _group_costs,
     adapted_wasserstein,
@@ -138,6 +139,30 @@ def _assert_matches_the_oracle(sample, mode, p, snap_y=False):
     if mode == "exact":
         want = _oracle_numerator([[y] for y in marginal], marginal, p)
         assert abs(report.denominator - want) <= 1e-13 * want
+
+
+def test_a_snapped_two_dimensional_y_is_solved_on_merged_supports(monkeypatch):
+    # Snapped 2-D y rows take at most phi^2 values, so each group's LP is
+    # posed on its distinct atoms against the target's distinct atoms, not on
+    # the 1,000 rows (10 LPs of up to 277,000 variables and 19 s before).
+    # The value is the one the row-by-row LPs gave, 0.5374941344905662.
+    n = 1000
+    rng = np.random.default_rng(0)
+    x = rng.normal(size=n)
+    sample = PairedSample(x, np.column_stack([x + 0.3 * rng.normal(size=n), rng.normal(size=n)]))
+    family = partition(sample, "bins", snap_y=True)
+    distinct = [len(np.unique(law.points, axis=0)) for law in family.laws]
+    target = len(np.unique(family.points, axis=0))
+    posed = []
+
+    def record(c, *args, **kwargs):
+        posed.append(c.size)
+        return scipy.optimize.linprog(c, *args, **kwargs)
+
+    monkeypatch.setattr(exact, "linprog", record)
+    value = i_conditional(sample, "bins", snap_y=True).value
+    assert abs(value - 0.5374941344905662) <= 1e-12 * 0.5374941344905662
+    assert posed == [atoms * target for atoms in distinct if atoms > 1]
 
 
 @pytest.mark.parametrize("p", [1.0, 2.0])

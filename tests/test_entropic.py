@@ -118,6 +118,18 @@ def test_a_row_permutation_of_a_law_is_solved_as_self_transport(n):
     assert sinkhorn_divergence(shuffled, law, 0.1) == 0.0
 
 
+@pytest.mark.parametrize("copies", [2, 3, 5])
+def test_a_law_with_duplicated_atoms_is_solved_as_self_transport(copies):
+    """The same points listed several times over have the law's support, so
+    either argument order solves the law with fewer atoms against itself; the
+    alternating path stalls above tol here."""
+    pts = np.random.default_rng(0).normal(size=(7, 2))
+    law, repeated = to_measure(pts), to_measure(np.tile(pts, (copies, 1)))
+    want = sinkhorn_discrepancy(law, law, 0.1)
+    assert sinkhorn_discrepancy(law, repeated, 0.1) == want
+    assert sinkhorn_discrepancy(repeated, law, 0.1) == want
+
+
 def _with_zero_weights(rng, n):
     """A law on n atoms in the unit square, two of which weigh 0 (one tied
     with another atom), and the same law with those two dropped."""

@@ -1,7 +1,8 @@
 """Every name a module imports is used in that module, every private helper
 is used somewhere in the package, the CLI imports lightly, transport routes
-are called only from the one route selector, no weighted sum goes through
-BLAS, and every exported name resolves and is listed by one module."""
+are called only from the one route selector, coincident rows are found by
+one helper, no weighted sum goes through BLAS, and every exported name
+resolves and is listed by one module."""
 
 import ast
 import importlib
@@ -84,6 +85,18 @@ def test_transport_routes_are_picked_in_one_place():
     assert {callee for _, callee in callers} == routes
     assert {caller for caller, _ in callers} == {"_group_costs"}
     assert _callers(ast.parse((PACKAGE / "empirical.py").read_text()), {"_group_powers"}) == set()
+
+
+def test_coincident_rows_are_found_in_one_place():
+    # Partitions and every measure's support group rows by measures._runs;
+    # the only other lexsort orders the two keys of one pair.
+    callers = set()
+    for path in MODULES:
+        for top in ast.parse(path.read_text()).body:
+            for node in ast.walk(top):
+                if isinstance(node, ast.Attribute) and node.attr == "lexsort":
+                    callers.add((path.stem, top.name))
+    assert callers == {("measures", "_runs"), ("concordance", "diagonal_transport_map")}
 
 
 @pytest.mark.parametrize("path", [p for p in MODULES if p.name != "gaussian.py"], ids=lambda p: p.name)

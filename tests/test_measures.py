@@ -1,11 +1,15 @@
-"""Construction and validation of measures, cost specs, and cost matrices."""
+"""Construction and validation of measures, cost specs, and cost matrices;
+a measure's support, and the solvers' invariance to how its atoms are listed."""
 
 import numpy as np
 import pytest
+import scipy.optimize
 from scipy.spatial.distance import cdist
 
-from wassdep import CostSpec, DataError, DiscreteMeasure, cost_matrix, mixture, product_measure
-from wassdep import measures
+from wassdep import (
+    CostSpec, DataError, DiscreteMeasure, cost_matrix, mixture, product_measure, sinkhorn_discrepancy, solve_exact
+)
+from wassdep import exact, measures
 
 
 def test_uniform_weights_by_default():
@@ -181,3 +185,100 @@ def test_cost_matrix_beyond_physical_memory_is_refused(monkeypatch):
     monkeypatch.setattr(measures, "PHYSICAL_MEMORY", 100 * 100 * 8 - 1)
     with pytest.raises(DataError, match=r"100 x 100 cost matrix needs 80000 bytes"):
         cost_matrix(m, m, CostSpec(p=2.0))
+
+
+# ---------------------------------------------------------------------------
+# Support: coincident atoms merged, and the solvers see only the law
+# ---------------------------------------------------------------------------
+
+
+def test_support_merges_coincident_atoms_in_lexsort_order():
+    points = [[1.0, 0.0], [0.0, 2.0], [1.0, 0.0], [0.0, 1.0], [0.0, 2.0], [1.0, -1.0]]
+    m = DiscreteMeasure(points, [0.1, 0.2, 0.3, 0.0, 0.25, 0.15])
+    assert m.support.points.tolist() == [[0.0, 1.0], [0.0, 2.0], [1.0, -1.0], [1.0, 0.0]]
+    assert m.support.weights.tolist() == pytest.approx([0.0, 0.45, 0.15, 0.4], abs=1e-15)
+    assert m.support is m.support  # cached
+
+
+def test_support_of_distinct_atoms_is_their_lexsort():
+    points = np.random.default_rng(3).normal(size=(9, 2))
+    m = DiscreteMeasure(points)
+    order = np.lexsort(points.T[::-1])
+    assert np.array_equal(m.support.points, points[order])
+    assert np.array_equal(m.support.weights, m.weights)
+
+
+def _split(measure, rng, copies, even=False):
+    """The same law with atom i listed copies[i] times, rows shuffled. Its
+    weight is split among the copies at random, or evenly (``even``, with one
+    copy count for all atoms) so that uniform weights stay uniform."""
+    reps = np.repeat(np.arange(measure.n), copies)
+    perm = rng.permutation(len(reps))
+    if even:
+        return DiscreteMeasure(measure.points[reps][perm])
+    share = rng.random(len(reps)) + 0.1
+    share /= np.bincount(reps, weights=share)[reps]
+    return DiscreteMeasure(measure.points[reps][perm], (measure.weights[reps] * share)[perm])
+
+
+def _laws(seed, dim, weighted, sizes):
+    rng = np.random.default_rng([seed, dim, weighted])
+    laws = [DiscreteMeasure(rng.normal(size=(n, dim)), rng.dirichlet(np.ones(n)) if weighted else None) for n in sizes]
+    return rng, laws
+
+
+def _recording(monkeypatch, name):
+    seen = []
+    solve = getattr(scipy.optimize, name)
+
+    def record(first, *args, **kwargs):
+        seen.append(first.size)
+        return solve(first, *args, **kwargs)
+
+    monkeypatch.setattr(exact, name, record)
+    return seen
+
+
+@pytest.mark.parametrize("p", [1.0, 2.0])
+@pytest.mark.parametrize("dim", [1, 2])
+@pytest.mark.parametrize("copies", [2, 3])
+def test_evenly_split_uniform_atoms_stay_on_the_assignment_route(monkeypatch, p, dim, copies):
+    # 6 atoms against 6, then 6 * copies against 6: each cost entry repeats at
+    # most 20 times, so both are assignments and nothing is merged.
+    assigned = _recording(monkeypatch, "linear_sum_assignment")
+    monkeypatch.setattr(exact, "linprog", lambda *args, **kwargs: pytest.fail("took the LP route"))
+    for seed in range(5):
+        rng, (a, b) = _laws(seed, dim, False, (6, 6))
+        want = solve_exact(a, b, CostSpec(p=p))
+        split = _split(a, rng, copies, even=True)
+        for got in (solve_exact(split, b, CostSpec(p=p)), solve_exact(b, split, CostSpec(p=p))):
+            assert abs(got - want) <= 1e-12 * want
+    assert sorted(set(assigned)) == [36, (6 * copies) ** 2]
+
+
+@pytest.mark.parametrize("p", [1.0, 2.0])
+@pytest.mark.parametrize("dim", [1, 2])
+@pytest.mark.parametrize("weighted", [False, True])
+def test_split_atoms_are_merged_back_on_the_lp_route(monkeypatch, p, dim, weighted):
+    # 7 atoms against 16 is an LP; so is the split one, solved on 7 x 16 again.
+    for seed in range(5):
+        rng, (a, b) = _laws(seed, dim, weighted, (7, 16))
+        want = solve_exact(a, b, CostSpec(p=p))
+        split = _split(a, rng, rng.integers(1, 4, size=7))
+        posed = _recording(monkeypatch, "linprog")
+        for got in (solve_exact(split, b, CostSpec(p=p)), solve_exact(b, split, CostSpec(p=p))):
+            assert abs(got - want) <= 1e-12 * want
+        assert posed == [7 * 16, 7 * 16]
+
+
+@pytest.mark.parametrize("dim", [1, 2])
+@pytest.mark.parametrize("weighted", [False, True])
+def test_split_atoms_leave_the_entropic_value(dim, weighted):
+    # tol is pinned: at the default 1e-9 the two stopping points differ by up
+    # to about 1e-8 relative.
+    for seed in range(5):
+        rng, (a, b) = _laws(seed, dim, weighted, (7, 16))
+        want = sinkhorn_discrepancy(a, b, 0.5, tol=1e-12)
+        split = _split(a, rng, rng.integers(1, 4, size=7))
+        for got in (sinkhorn_discrepancy(split, b, 0.5, tol=1e-12), sinkhorn_discrepancy(b, split, 0.5, tol=1e-12)):
+            assert abs(got - want) <= 1e-9 * want
