@@ -187,7 +187,7 @@ def w_lipschitz_estimate(family: ConditionalFamily, p: float = 1.0) -> float:
         # Only the groups before h, so each unordered pair is costed once.
         before = None if weights is None else weights[: starts[h]]
         costs = _group_costs(family.points[: starts[h]], starts[:h], before, family.laws[h], p)
-        gaps = np.linalg.norm(reps[:h] - reps[h], axis=1)
+        gaps = cost_matrix(DiscreteMeasure(reps[:h]), DiscreteMeasure(reps[h : h + 1]), CostSpec())[:, 0]
         ratios.extend(costs[gaps != 0.0] ** (1.0 / p) / gaps[gaps != 0.0])
     if not ratios:
         raise DataError("all group representatives coincide")

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .exceptions import SinkhornConvergenceError
+from .exceptions import DataError, SinkhornConvergenceError
 from .measures import CostSpec, DiscreteMeasure, cost_matrix
 
 __all__ = ["sinkhorn_discrepancy", "sinkhorn_divergence"]
@@ -95,7 +95,10 @@ def _sinkhorn_potentials(
     the final level must meet ``tol`` within ``max_iter`` sweeps.
     """
     a = np.exp(log_a)
-    spread = float(cost.max() - cost.min()) if cost.size else 0.0
+    top, bottom = cost.max(), cost.min()  # checked before the spread: inf - inf warns
+    if not np.isfinite(top) or not np.isfinite(bottom):
+        raise DataError("a distance or its p-th power leaves the float range")
+    spread = float(top - bottom)
     f = np.zeros(cost.shape[0])
     g = np.zeros(cost.shape[1])
     level = spread / 8.0

@@ -19,7 +19,7 @@ import numpy as np
 from scipy import sparse
 from scipy.optimize import linear_sum_assignment, linprog
 
-from .exceptions import ExactSolverError
+from .exceptions import DataError, ExactSolverError
 from .measures import CostSpec, DiscreteMeasure, _weighted_sum, cost_matrix
 
 __all__ = [
@@ -60,6 +60,8 @@ def solve_from_cost(cost: np.ndarray, a: np.ndarray, b: np.ndarray) -> float:
         raise ValueError("marginal lengths do not match the cost matrix")
     if abs(a.sum() - b.sum()) > 1e-9:
         raise ValueError(f"infeasible marginals: masses {a.sum()!r} vs {b.sum()!r}")
+    if not np.isfinite(cost.max()) or not np.isfinite(cost.min()):
+        raise DataError("a distance or its p-th power leaves the float range")
 
     # The scaled transport polytope has integral vertices (Peyre & Cuturi,
     # Computational Optimal Transport, 2019), so the assignment on the

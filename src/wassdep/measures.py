@@ -189,7 +189,10 @@ def _check_cost_size(rows: int, cols: int) -> None:
 
 
 def cost_matrix(src: DiscreteMeasure, dst: DiscreteMeasure, spec: CostSpec) -> np.ndarray:
-    """Pairwise ``d(x_i, y_j) ** p`` under the given cost spec.
+    """Pairwise ``d(x_i, y_j) ** p`` under the given cost spec: the one code
+    that measures a distance between rows. A one-column factor's distance is
+    ``|u - v|``, exact at any scale; a wider factor's comes from cdist, whose
+    squares keep it within about 1e+-154.
 
     Raises ValueError when the ambient dimensions disagree with each other or
     with the spec's factor structure, and DataError when the matrix's bytes
@@ -205,8 +208,11 @@ def cost_matrix(src: DiscreteMeasure, dst: DiscreteMeasure, spec: CostSpec) -> n
     dist = None
     offset = 0
     for d, w in zip(dims, weights):
-        part = cdist(src.points[:, offset:offset + d], dst.points[:, offset:offset + d])
+        u, v = src.points[:, offset:offset + d], dst.points[:, offset:offset + d]
         offset += d
+        part = cdist(u, v) if d > 1 else u - v.T
+        if d == 1:  # |u - v| in place: cdist's sqrt((u - v)^2) bit for bit, with no square to leave the range
+            np.abs(part, out=part)
         if w != 1:
             part *= w
         if dist is None:
@@ -215,7 +221,8 @@ def cost_matrix(src: DiscreteMeasure, dst: DiscreteMeasure, spec: CostSpec) -> n
             dist += part
     if spec.p == 1:
         return dist
-    return dist ** spec.p
+    with np.errstate(over="ignore"):  # a power past the float range is inf, which the solvers refuse
+        return dist ** spec.p
 
 
 def product_measure(first: DiscreteMeasure, second: DiscreteMeasure) -> DiscreteMeasure:

@@ -18,18 +18,18 @@ from wassdep.exceptions import DataError
 from wassdep.harness import figure1_table
 
 
-def _write_pair(path, n=40, seed=0, rho=0.9):
+def _write_pair(path, n=40, seed=0, rho=0.9, scale=1.0):
     rng = np.random.default_rng(seed)
     x = rng.normal(size=n)
     y = rho * x + np.sqrt(1 - rho * rho) * rng.normal(size=n)
-    lines = ["x,y"] + [f"{float(a)!r},{float(b)!r}" for a, b in zip(x, y)]
+    lines = ["x,y"] + [f"{float(a)!r},{float(b)!r}" for a, b in zip(x * scale, y * scale)]
     path.write_text("\n".join(lines) + "\n")
     return path
 
 
-def _write_cloud(path, n=15, seed=0, shift=0.0):
+def _write_cloud(path, n=15, seed=0, shift=0.0, scale=1.0):
     rng = np.random.default_rng(seed)
-    pts = rng.normal(size=(n, 2)) + shift
+    pts = (rng.normal(size=(n, 2)) + shift) * scale
     lines = ["u,v"] + [f"{float(a)!r},{float(b)!r}" for a, b in pts]
     path.write_text("\n".join(lines) + "\n")
     return path
@@ -643,6 +643,29 @@ def _run_without_warnings(capsys, argv):
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         return _run(capsys, argv)
+
+
+@pytest.mark.parametrize("extra", [[], ["--p", "1"], ["--epsilon", "0.5"], ["--p", "1", "--epsilon", "0.5"]])
+def test_ot_on_a_cost_beyond_the_float_range_exits_1(tmp_path, capsys, extra):
+    first = _write_cloud(tmp_path / "a.csv", seed=1, scale=1e160)
+    second = _write_cloud(tmp_path / "b.csv", seed=2, shift=1.0, scale=1e160)
+    code, out, err = _run_without_warnings(capsys, ["ot", str(first), str(second), *extra])
+    assert (code, out) == (1, "")
+    assert err.splitlines() == ["error: a distance or its p-th power leaves the float range"]
+
+
+def test_scalar_index_and_test_read_alike_at_any_scale(tmp_path, capsys):
+    # 200 rows of a rho = 0.6 pair, at unit scale and times 1e-170, where
+    # squared gaps would underflow: the printed value and p-value agree.
+    reports = []
+    for scale in (1.0, 1e-170):
+        data = _write_pair(tmp_path / "pair.csv", n=200, rho=0.6, scale=scale)
+        base = ["--file", str(data), "--x", "0", "--y", "1"]
+        joint = json.loads(_run_without_warnings(capsys, ["index", "joint", *base])[1])
+        test = json.loads(_run_without_warnings(capsys, ["test", *base, "--permutations", "19"])[1])
+        reports.append((joint["value"], test["p_value"]))
+    assert reports[0][0] > 0.3
+    assert reports[1] == reports[0]
 
 
 def test_bin_count_beyond_exact_floats_exits_1(tmp_path, capsys):

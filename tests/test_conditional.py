@@ -24,6 +24,7 @@ from wassdep.conditional import (
 from wassdep.empirical import ConditionalFamily, PairedSample, partition, to_measure
 from wassdep.exact import _group_powers, _quantile_cost, solve_exact, solve_from_cost, wasserstein_1d
 from wassdep.exceptions import DataError
+from wassdep.joint import i_joint
 from wassdep.measures import CostSpec, DiscreteMeasure, _quantile_form
 
 
@@ -600,3 +601,96 @@ def test_values_do_not_depend_on_the_blas_thread_count():
         run = subprocess.run([sys.executable, "-c", _THREAD_PROBE], env=env, capture_output=True, text=True, check=True)
         outputs.append(json.loads(run.stdout))
     assert outputs[0] == outputs[1]
+
+
+# ---------------------------------------------------------------------------
+# Coincident copies of a group's atoms
+# ---------------------------------------------------------------------------
+
+
+def _flat(groups):
+    """The rows of a list of (k_g, d) groups, one after another, and where each group starts."""
+    return np.vstack(groups), np.cumsum([0] + [len(g) for g in groups[:-1]])
+
+
+def _split_group(atoms, weights, rng):
+    """The same law with each atom listed 1 to 3 times, rows shuffled, its
+    weight split among the copies at random."""
+    reps = np.repeat(np.arange(len(atoms)), rng.integers(1, 4, size=len(atoms)))
+    perm = rng.permutation(len(reps))
+    share = rng.random(len(reps)) + 0.1
+    share /= np.bincount(reps, weights=share)[reps]
+    return atoms[reps][perm], (weights[reps] * share)[perm]
+
+
+def _refuse(*args, **kwargs):
+    raise AssertionError("this route must not be taken")
+
+
+def _close(got, want):
+    return bool(np.all(np.abs(got - want) <= 1e-12 * want))
+
+
+@pytest.mark.parametrize("p", [1.0, 2.0])
+def test_evenly_split_atoms_leave_the_sweep(monkeypatch, p):
+    # Uniform groups stay uniform when every atom is listed equally often;
+    # the one-atom group becomes a group of coincident atoms.
+    rng = np.random.default_rng(70)
+    target = to_measure(rng.normal(size=40))
+    groups = [rng.normal(size=(k, 1)) for k in (5, 1, 3)]
+    monkeypatch.setattr(conditional, "_quantile_cost", _refuse)
+    monkeypatch.setattr(conditional, "dirac_transport_cost", _refuse)
+    want = _group_costs(*_flat(groups), None, target, p)
+    for copies in (2, 3):
+        split = [np.repeat(g, copies, axis=0)[rng.permutation(len(g) * copies)] for g in groups]
+        assert _close(_group_costs(*_flat(split), None, target, p), want)
+
+
+@pytest.mark.parametrize("p", [1.0, 2.0, 3.0])
+def test_split_atoms_leave_the_quantile_route(monkeypatch, p):
+    rng = np.random.default_rng(71)
+    target = DiscreteMeasure(rng.normal(size=30), rng.dirichlet(np.ones(30)))
+    groups = [rng.normal(size=(k, 1)) for k in (5, 2, 7)]
+    weights = [rng.dirichlet(np.ones(len(g))) for g in groups]
+    monkeypatch.setattr(conditional, "_group_powers", _refuse)
+    monkeypatch.setattr(conditional, "solve_exact", _refuse)
+    want = _group_costs(*_flat(groups), np.concatenate(weights), target, p)
+    for _ in range(5):
+        split = [_split_group(g, w, rng) for g, w in zip(groups, weights)]
+        got = _group_costs(*_flat([g for g, _ in split]), np.concatenate([w for _, w in split]), target, p)
+        assert _close(got, want)
+
+
+@pytest.mark.parametrize("p", [1.0, 2.0, 3.0])
+@pytest.mark.parametrize("dim", [1, 2])
+def test_split_atoms_leave_the_forced_coupling(monkeypatch, p, dim):
+    # Each one-atom group becomes 2 to 4 coincident copies of weights summing to 1.
+    rng = np.random.default_rng([72, dim])
+    target = DiscreteMeasure(rng.normal(size=(30, dim)), rng.dirichlet(np.ones(30)))
+    atoms = rng.normal(size=(4, dim))
+    monkeypatch.setattr(conditional, "_group_powers", _refuse)
+    monkeypatch.setattr(conditional, "_quantile_cost", _refuse)
+    monkeypatch.setattr(conditional, "solve_exact", _refuse)
+    want = _group_costs(atoms, np.arange(4), None, target, p)
+    copies = rng.integers(2, 5, size=4)
+    split = [np.repeat(a[None, :], c, axis=0) for a, c in zip(atoms, copies)]
+    weights = np.concatenate([rng.dirichlet(np.ones(c)) for c in copies])
+    assert _close(_group_costs(*_flat(split), weights, target, p), want)
+    assert _close(_group_costs(*_flat(split), None, target, p), want)
+
+
+def test_every_report_flags_exactly_the_values_above_one():
+    # Small samples of a noisy function: the split estimator's numerator,
+    # from a third of the rows, often exceeds the denominator.
+    flags = set()
+    for seed in range(12):
+        rng = np.random.default_rng(seed)
+        x = rng.normal(size=12)
+        sample = PairedSample(x, np.sin(3 * x) + 0.1 * rng.normal(size=12), seed=seed)
+        for p in (1.0, 2.0):
+            reports = [i_joint(sample, estimator, p=p) for estimator in ("split", "permute", "full")]
+            reports += [i_conditional(sample, mode, p=p) for mode in ("bins", "exact")]
+            for report in reports:
+                assert report.exceeds_unit == (report.value > 1.0)
+                flags.add(report.exceeds_unit)
+    assert flags == {False, True}

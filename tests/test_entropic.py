@@ -1,5 +1,7 @@
 """Log-domain Sinkhorn contracts: marginals, bounds, limits, failure mode."""
 
+import warnings
+
 import numpy as np
 import pytest
 from scipy.special import logsumexp as scipy_logsumexp
@@ -16,6 +18,7 @@ from wassdep import (
 )
 from wassdep import entropic
 from wassdep.entropic import _sinkhorn_potentials, logsumexp
+from wassdep.exceptions import DataError
 
 
 def _instance(seed, n=11, m=8, d=2):
@@ -280,3 +283,17 @@ def test_plan_that_misses_its_marginals_is_refused():
         assert err.value.eps == eps
         assert err.value.achieved_violation > 0.1
         assert "misses its marginals" in str(err.value)
+
+
+@pytest.mark.parametrize("p, dim", [(1.0, 2), (2.0, 2), (2.0, 1)])
+def test_a_cost_beyond_the_float_range_is_refused_before_any_sweep(p, dim, monkeypatch):
+    # Distances near 1e160: cdist's squares leave the float range on 2-D
+    # clouds, and a scalar distance's square does at p = 2. The ladder's
+    # spread would be inf - inf, so the cost is checked before it is formed.
+    monkeypatch.setattr(entropic, "_sweeps", None)
+    rng = np.random.default_rng(4)
+    src, dst = to_measure(rng.normal(size=(7, dim)) * 1e160), to_measure(rng.normal(size=(5, dim)) * 1e160)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(DataError, match="a distance or its p-th power leaves the float range"):
+            sinkhorn_discrepancy(src, dst, 0.5, CostSpec(p=p))

@@ -7,6 +7,7 @@ is pinned by scipy's LP on the same cost.
 """
 
 import itertools
+import warnings
 from types import SimpleNamespace
 
 import numpy as np
@@ -137,6 +138,36 @@ def test_distance_scales_with_homogeneity():
             spec,
         ) ** (1.0 / p)
         assert scaled == pytest.approx(2.5 * base, rel=1e-9)
+
+
+@pytest.mark.parametrize("k", [-560, -300, 300, 530])
+@pytest.mark.parametrize("n, m", [(9, 9), (6, 8)])
+def test_scalar_clouds_cost_exactly_scale_times_as_much_at_any_scale(k, n, m):
+    # The assignment, on equal and on unequal sizes: |u - v| scales exactly at
+    # either end of the float range, and so does the sum of assigned costs.
+    rng = np.random.default_rng([n, m])
+    src, dst = to_measure(rng.normal(size=n)), to_measure(rng.normal(size=m))
+    unit = solve_exact(src, dst, CostSpec())
+    scaled = solve_exact(to_measure(src.points * 2.0**k), to_measure(dst.points * 2.0**k), CostSpec())
+    assert unit > 0.0
+    assert scaled == unit * 2.0**k
+
+
+@pytest.mark.parametrize("p", [1.0, 2.0])
+def test_a_cost_beyond_the_float_range_is_refused(p):
+    # 2-D distances near 1e160 square past the float range inside cdist; at
+    # p = 2 a scalar one's power does too. Both are refused before the solver.
+    rng = np.random.default_rng(0)
+    clouds = [to_measure(rng.normal(size=(6, 2)) * 1e160), to_measure(rng.normal(size=(8, 2)) * 1e160)]
+    scalar = [to_measure(rng.normal(size=5) * 1e160), to_measure(rng.normal(size=30) * 1e160)]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for src, dst in [clouds] + ([scalar] if p == 2 else []):
+            with pytest.raises(DataError, match="leaves the float range"):
+                solve_exact(src, dst, CostSpec(p=p))
+        for bad in (np.inf, np.nan, -np.inf):
+            with pytest.raises(DataError, match="leaves the float range"):
+                solve_from_cost(np.array([[0.0, 1.0], [bad, 0.0]]), np.full(2, 0.5), np.full(2, 0.5))
 
 
 def test_lp_failure_raises_exact_solver_error(monkeypatch):
@@ -378,3 +409,57 @@ def test_zero_weight_atoms_cost_nothing_in_a_conditional_family(p):
     family = ConditionalFamily.from_laws(reps, [law for law, _ in pairs], group_weights)
     dropped = ConditionalFamily.from_laws(reps, [kept for _, kept in pairs], group_weights)
     assert d_conditional(family, p) ** p == pytest.approx(d_conditional(dropped, p) ** p, rel=1e-12)
+
+
+# ---------------------------------------------------------------------------
+# Single-atom sources
+# ---------------------------------------------------------------------------
+
+
+def _dirac_and_law(m, dim, weighted):
+    """A point a, a law on m atoms, and each atom's distance from a: moving
+    a onto the law has one coupling, which costs sum_j w_j |a - y_j|^p."""
+    rng = np.random.default_rng([m, dim, weighted])
+    a = rng.normal(size=dim)
+    law = DiscreteMeasure(rng.normal(size=(m, dim)), rng.dirichlet(np.ones(m)) if weighted else None)
+    return a, law, np.sqrt(((law.points - a) ** 2).sum(axis=1))
+
+
+@pytest.mark.parametrize("p", [1.0, 2.0, 3.0])
+@pytest.mark.parametrize("dim", [1, 2])
+@pytest.mark.parametrize("m, weighted, refused", [(20, False, "linprog"), (21, False, "linear_sum_assignment"),
+                                                  (9, True, "linear_sum_assignment")])
+def test_a_single_atom_costs_its_mean_distance_on_either_solver_route(monkeypatch, p, dim, m, weighted, refused):
+    # Up to 20 uniform atoms take the assignment, more or weighted ones the LP.
+    a, law, gaps = _dirac_and_law(m, dim, weighted)
+    want = float(np.sum(law.weights * gaps**p))
+    monkeypatch.setattr(wassdep.exact, refused, _refuse)
+    for src, dst in ((DiscreteMeasure.dirac(a), law), (law, DiscreteMeasure.dirac(a))):
+        assert abs(solve_exact(src, dst, CostSpec(p=p)) - want) <= 1e-12 * want
+
+
+@pytest.mark.parametrize("p", [1.0, 2.0, 3.0])
+@pytest.mark.parametrize("weighted", [False, True])
+def test_a_single_atom_costs_its_mean_distance_on_the_closed_forms(p, weighted):
+    # The quantile integral, the forced coupling and, at p = 1 or 2 against a
+    # uniform law, the sweep's one-atom group.
+    a, law, gaps = _dirac_and_law(12, 1, weighted)
+    want = float(np.sum(law.weights * gaps**p))
+    got = [
+        wassdep.exact._quantile_cost(*DiscreteMeasure.dirac(a).quantile_form, *law.quantile_form, p),
+        dirac_transport_cost(a[None, :], law, p)[0],
+    ]
+    if p in (1.0, 2.0) and not weighted:
+        got.append(wassdep.exact._group_powers(a, np.array([0]), law.points[:, 0], p)[0])
+    assert all(abs(value - want) <= 1e-12 * want for value in got)
+
+
+@pytest.mark.parametrize("p", [1.0, 2.0])
+@pytest.mark.parametrize("dim", [1, 2])
+def test_a_single_atom_costs_its_mean_distance_under_sinkhorn(p, dim):
+    # The only plan from a single atom is the product of the marginals, whose
+    # KL penalty is 0, so the regularized value is the plain mean cost.
+    a, law, gaps = _dirac_and_law(9, dim, True)
+    want = float(np.sum(law.weights * gaps**p))
+    for src, dst in ((DiscreteMeasure.dirac(a), law), (law, DiscreteMeasure.dirac(a))):
+        assert abs(wassdep.sinkhorn_discrepancy(src, dst, 0.5, CostSpec(p=p)) - want) <= 1e-9 * want

@@ -37,6 +37,16 @@ def test_permutation_test_separates_signal_from_noise():
     assert p_ind > 0.2
 
 
+@pytest.mark.parametrize("k", [-560, -300, 300, 530])
+def test_permutation_test_is_exact_at_any_scale(k):
+    # Both coordinates times 2^k: every statistic scales exactly, so the
+    # p-value is the same and the observed statistic is 2^k times as large.
+    sample = _pair(True)
+    scaled = PairedSample(sample.xs * 2.0**k, sample.ys * 2.0**k)
+    observed, p_value = permutation_test(sample, "d_joint", b=19, seed=5)
+    assert permutation_test(scaled, "d_joint", b=19, seed=5) == (observed * 2.0**k, p_value)
+
+
 def test_permutation_test_is_reproducible():
     first = permutation_test(_pair(True), "d_joint", b=49, seed=5)
     second = permutation_test(_pair(True), "d_joint", b=49, seed=5)

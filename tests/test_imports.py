@@ -1,8 +1,9 @@
 """Every name a module imports is used in that module, every private helper
 is used somewhere in the package, the CLI imports lightly, transport routes
 are called only from the one route selector, coincident rows are found by
-one helper, no weighted sum goes through BLAS, and every exported name
-resolves and is listed by one module."""
+one helper, every distance between rows comes from cost_matrix, no weighted
+sum goes through BLAS, and every exported name resolves and is listed by
+one module."""
 
 import ast
 import importlib
@@ -97,6 +98,21 @@ def test_coincident_rows_are_found_in_one_place():
                 if isinstance(node, ast.Attribute) and node.attr == "lexsort":
                     callers.add((path.stem, top.name))
     assert callers == {("measures", "_runs"), ("concordance", "diagonal_transport_map")}
+
+
+def test_row_distances_are_measured_in_one_place():
+    # cost_matrix is the one code that measures a distance between rows, so a
+    # numerator and its denominator cannot measure the same data two ways.
+    cdist_callers, norms = set(), []
+    for path in MODULES:
+        for top in ast.parse(path.read_text()).body:
+            for node in ast.walk(top):
+                if isinstance(node, ast.Call) and isinstance(node.func, ast.Name) and node.func.id == "cdist":
+                    cdist_callers.add((path.stem, top.name))
+                if isinstance(node, ast.Attribute) and node.attr == "norm" and getattr(node.value, "attr", "") == "linalg":
+                    norms.append((path.stem, node.lineno))
+    assert cdist_callers == {("measures", "cost_matrix")}
+    assert norms == []
 
 
 @pytest.mark.parametrize("path", [p for p in MODULES if p.name != "gaussian.py"], ids=lambda p: p.name)

@@ -61,6 +61,22 @@ def test_index_invariant_under_coordinatewise_similarity():
     assert abs(a.value - b.value) <= 1e-12
 
 
+@pytest.mark.parametrize("k", [-560, -300, 300, 530])
+@pytest.mark.parametrize("estimator, n", [("split", 90), ("permute", 60), ("full", 12)])
+def test_scalar_index_is_exact_at_any_scale(k, estimator, n):
+    # Powers of two at both ends of the float range: every gap |u - v| scales
+    # exactly, so the index is == its unit-scale value and the numerator == 2^k
+    # times it. A squared gap would underflow at 2^-560 and overflow at 2^530.
+    rng = np.random.default_rng([abs(k), n])
+    x = rng.normal(size=n)
+    y = 0.6 * x + 0.8 * rng.normal(size=n)
+    unit = i_joint(PairedSample(x, y), estimator, rng=np.random.default_rng(1))
+    scaled = i_joint(PairedSample(x * 2.0**k, y * 2.0**k), estimator, rng=np.random.default_rng(1))
+    assert unit.numerator > 0.0
+    assert scaled.value == unit.value
+    assert scaled.numerator == unit.numerator * 2.0**k
+
+
 def test_min_gmd_requires_additive_cost():
     sample = PairedSample(np.arange(6.0), np.arange(6.0), seed=0)
     # The cost is always additive (the sum, or alpha's weighted sum), so
